@@ -258,9 +258,12 @@ def cmd_sweep(args) -> int:
     seeds = [args.seed + k for k in range(args.count)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        # about four chunks per worker; map keeps row order
+        chunk = max(1, -(-args.count // (4 * args.jobs)))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, range(args.count), seeds,
-                                 [args.constraint] * args.count))
+                                 [args.constraint] * args.count,
+                                 chunksize=chunk))
     else:
         rows = [_sweep_row(k, s, args.constraint)
                 for k, s in zip(range(args.count), seeds)]

@@ -158,9 +158,8 @@ class TwoLevelCes:
 def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
     """Set diagonals so every share-weighted row sums to zero."""
     sig = np.array(sig, dtype=float)
-    for i in range(3):
-        off = sum(shares[h] * sig[i, h] for h in range(3) if h != i)
-        sig[i, i] = -off / shares[i]
+    np.fill_diagonal(sig, 0.0)
+    np.fill_diagonal(sig, -(sig * shares).sum(axis=1) / shares)
     return sig
 
 
@@ -253,9 +252,7 @@ def _jacobian(specs, w, X, a):
         c = float(a[:, j] @ w)
         shares = a[:, j] * w / c
         # da_ij/dw_h = a_ij * theta_hj * sigma_ihj / w_h
-        for i in range(3):
-            for h in range(3):
-                jac[2 + i, h] += X[j] * a[i, j] * shares[h] * sig[i, h] / w[h]
+        jac[2:, :3] += X[j] * a[:, j, None] * shares * sig / w
     return jac
 
 

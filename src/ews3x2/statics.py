@@ -21,36 +21,27 @@ TIE_TOL = 1e-12
 
 def solve_partial_pivot(a: np.ndarray, b: np.ndarray,
                         cond_limit: float = 1e12) -> np.ndarray:
-    """Gaussian elimination with partial pivoting for a small dense system.
+    """Solve a small dense system by LAPACK LU with partial pivoting (gesv).
 
-    The condition of the system is estimated by the ratio of the extreme
-    pivot magnitudes; systems beyond `cond_limit` raise SingularSystem.
+    b is (n,) or (n, k). One factorisation solves for [b | I], which yields
+    both x and the inverse; systems whose 1-norm condition number
+    ||A||_1 ||A^-1||_1 exceeds `cond_limit` or is not finite raise
+    SingularSystem.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    pivots = []
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        p = a[col, col]
-        if p == 0.0:
-            raise SingularSystem("zero pivot in elimination")
-        pivots.append(abs(p))
-        for row in range(col + 1, n):
-            m = a[row, col] / p
-            if m != 0.0:
-                a[row, col:] -= m * a[col, col:]
-                b[row] -= m * b[col]
-    if max(pivots) / min(pivots) > cond_limit:
+    try:
+        sol = np.linalg.solve(a, np.column_stack([b, np.eye(n)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"LU factorisation failed: {exc}") from None
+    x, inv = sol[:, :-n], sol[:, -n:]
+    cond = np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    if not cond <= cond_limit:
         raise SingularSystem(
-            f"pivot ratio {max(pivots)/min(pivots):.3e} exceeds {cond_limit:.1e}")
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
-    return x
+            f"1-norm condition {cond:.3e} is not finite or exceeds "
+            f"{cond_limit:.1e}")
+    return x.reshape(b.shape)
 
 
 @dataclass(frozen=True)
@@ -170,16 +161,25 @@ def hat_system(e: Economy) -> np.ndarray:
     return m
 
 
+def _solve_hat(e: Economy, rhs: np.ndarray) -> np.ndarray:
+    """Solve the hat-system for a (5,) or (5, k) right-hand side.
+
+    Raises SingularSystem when any column's residual exceeds
+    1e-10 * max(1, |rhs column|).
+    """
+    m = hat_system(e)
+    x = solve_partial_pivot(m, rhs)
+    resid = np.abs(m @ x - rhs).max(axis=0)
+    scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
+    if not np.all(resid <= 1e-10 * scale):
+        raise SingularSystem(
+            f"hat-system residual {np.max(resid):.3e} too large")
+    return x
+
+
 def solve_linear(e: Economy, s: Shock) -> Response:
     """Solve the hat-system and populate every derived rate-of-change field."""
-    m = hat_system(e)
-    rhs = np.concatenate([s.p_star, s.v_star])
-    x = solve_partial_pivot(m, rhs)
-    resid = float(np.max(np.abs(m @ x - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if resid > 1e-10 * scale:
-        raise SingularSystem(f"hat-system residual {resid:.3e} too large")
-
+    x = _solve_hat(e, np.concatenate([s.p_star, s.v_star]))
     w_star = x[:3]
     x_star = x[3:]
     eps = epsilon(e)
@@ -205,24 +205,18 @@ def a0_prime_from_ews(e: Economy, w_star: np.ndarray) -> np.ndarray:
     aggregate of a_ij* in exact arithmetic (the cross-check route).
     """
     g = ews_matrix(e).g
-    out = np.zeros(3)
-    for i in range(3):
-        for h in range(3):
-            if h != i:
-                out[i] += g[i, h] * (w_star[h] - w_star[i])
-    return out
+    return g @ w_star - g.sum(axis=1) * w_star
 
 
 def rybczynski_matrix(e: Economy) -> tuple:
     """Output responses to unit endowment changes at fixed goods prices.
 
-    Returns (values, signs): values[j, i] = X_j*/V_i* from three solves with
-    p* = 0 and a unit v_star on factor i; signs is the elementwise sign matrix.
+    Returns (values, signs): values[j, i] = X_j*/V_i* from one solve whose
+    three right-hand sides have p* = 0 and a unit v_star on factor i; signs is
+    the elementwise sign matrix.
     """
-    values = np.zeros((2, 3))
-    for i in range(3):
-        r = solve_linear(e, Shock.endowment(i))
-        values[:, i] = r.x_star
+    # column i of the right-hand side: p* = 0, v* = unit vector i
+    values = _solve_hat(e, np.eye(5, 3, k=-2))[3:]
     signs = np.sign(values).astype(int)
     return values, signs
 

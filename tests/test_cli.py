@@ -95,6 +95,19 @@ def test_rybczynski_payload(e0_path, capsys):
     assert d["subregion"] == "quadrant I"
 
 
+@pytest.mark.parametrize("command", ["solve", "rybczynski"])
+def test_nan_share_is_a_typed_error(e0, tmp_path, capsys, command):
+    d = e0.to_dict()
+    d["theta_share"][0][0] = float("nan")
+    econ = tmp_path / "nan.json"
+    econ.write_text(json.dumps(d))
+    shock = tmp_path / "shock.json"
+    shock.write_text(json.dumps(Shock.price(1.0).to_dict()))
+    argv = [command, str(econ)] + ([str(shock)] if command == "solve" else [])
+    assert main(argv) in (1, 2)
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # estimate
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ews3x2 as m
 from ews3x2.model import K, L, T
 from ews3x2.production import (CobbDouglas, Ces, TwoLevelCes, SampledEconomy,
+                               _fill_aes_diagonal, _jacobian, _system,
                                spec_from_dict)
 from ews3x2.statics import Shock
 
@@ -172,6 +173,56 @@ def test_specialization_detection():
              m.calibrated_spec("cobb_douglas", [0.2, 0.5, 0.3]))
     with pytest.raises((m.Specialization, m.NonConvergence)):
         m.solve_equilibrium(specs, [1.0, 1.0], [5.0, 0.01, 0.02])
+
+
+FAMILY_KW = {
+    "cobb_douglas": {},
+    "ces": {"s": 0.6},
+    "two_level_ces": {"s_in": 0.2, "s_out": 1.8},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_KW))
+def test_jacobian_matches_central_differences(family):
+    specs = tuple(m.calibrated_spec(family, col, **FAMILY_KW[family])
+                  for col in ([0.45, 0.2, 0.35], [0.2, 0.5, 0.3]))
+    p, V = np.ones(2), np.array([1.1, 0.9, 1.3])
+    # off the calibrated point w = (1, 1, 1)
+    z = np.array([1.3, 0.8, 1.1, 0.9, 1.4])
+    _, a, _ = _system(specs, p, V, z[:3], z[3:])
+    jac = _jacobian(specs, z[:3], z[3:], a)
+    fd = np.zeros((5, 5))
+    for k in range(5):
+        h = 1e-6 * z[k]
+        zp, zm = z.copy(), z.copy()
+        zp[k] += h
+        zm[k] -= h
+        fd[:, k] = (_system(specs, p, V, zp[:3], zp[3:])[0]
+                    - _system(specs, p, V, zm[:3], zm[3:])[0]) / (2 * h)
+    assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
+    # the element-by-element form, same arithmetic order
+    ref = np.zeros((5, 5))
+    ref[:2, :3], ref[2:, 3:] = a.T, a
+    for j in range(2):
+        sig = specs[j].aes(z[:3])
+        shares = a[:, j] * z[:3] / float(a[:, j] @ z[:3])
+        for i in range(3):
+            for h in range(3):
+                ref[2 + i, h] += (z[3 + j] * a[i, j] * shares[h] * sig[i, h]
+                                  / z[h])
+    assert np.array_equal(jac, ref)
+
+
+def test_fill_aes_diagonal_equals_loop_reference():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        sig = rng.normal(size=(3, 3))
+        shares = rng.dirichlet(np.ones(3))
+        ref = sig.copy()
+        for i in range(3):
+            off = sum(shares[h] * sig[i, h] for h in range(3) if h != i)
+            ref[i, i] = -off / shares[i]
+        assert np.array_equal(_fill_aes_diagonal(sig, shares), ref)
 
 
 def test_fd_rybczynski_matches_linear(sampled):

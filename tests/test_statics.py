@@ -38,6 +38,31 @@ def test_partial_pivot_pivoting_needed():
     assert np.allclose(solve_partial_pivot(a, np.array([2.0, 3.0])), [3.0, 2.0])
 
 
+def test_partial_pivot_matrix_rhs_equals_column_solves():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 5))
+    b = rng.normal(size=(5, 3))
+    x = solve_partial_pivot(a, b)
+    assert x.shape == (5, 3)
+    for k in range(3):
+        assert np.allclose(x[:, k], solve_partial_pivot(a, b[:, k]),
+                           rtol=1e-12, atol=0)
+
+
+def test_partial_pivot_rejects_ill_conditioned():
+    # nonsingular, but its condition number (1e14) is past the 1e12 limit
+    with pytest.raises(m.SingularSystem):
+        solve_partial_pivot(np.diag([1.0, 1e-14, 1.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_partial_pivot_non_finite_entry_is_singular(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(m.SingularSystem):
+        solve_partial_pivot(a, np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # Shock helpers and labels
 
@@ -159,6 +184,16 @@ def test_rybczynski_matrix_structure(e0):
     r = m.solve_linear(e0, Shock(np.zeros(2), np.ones(3)))
     assert np.allclose(r.x_star, [1.0, 1.0], atol=1e-12)
     assert np.allclose(r.w_star, 0.0, atol=1e-12)
+
+
+def test_rybczynski_matrix_equals_endowment_solves():
+    # the one three-column solve against three single-shock solves
+    for e in mixed_pool(2024, 200):
+        values, signs = m.rybczynski_matrix(e)
+        cols = np.column_stack([m.solve_linear(e, Shock.endowment(i)).x_star
+                                for i in range(3)])
+        assert np.allclose(values, cols, rtol=1e-12, atol=0)
+        assert np.array_equal(signs, np.sign(cols).astype(int))
 
 
 # ---------------------------------------------------------------------------
