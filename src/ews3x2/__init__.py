@@ -18,9 +18,9 @@ from .statics import (Response, Shock, h_checks, lemma2_diagnostics,
                       lines_xyz, rybczynski_matrix, solve_linear,
                       stolper_samuelson)
 from .production import (CobbDouglas, Ces, EquilibriumPoint, SampleConstraints,
-                         TwoLevelCes, aes_from_spec, appendix_f_sweep,
-                         calibrated_spec, economy_snapshot, fd_rybczynski,
-                         sample_economy, solve_equilibrium, unit_cost)
+                         TwoLevelCes, appendix_f_sweep, calibrated_spec,
+                         economy_snapshot, fd_rybczynski, sample_economy,
+                         solve_equilibrium)
 from .estimate import (EstimateReport, Observation, consistency_checks,
                        corollary1_subregion, observation_from_response,
                        point_a, point_b, preprocess, run_pipeline,

@@ -45,12 +45,19 @@ def _fail_io(msg: str) -> int:
     return EXIT_IO
 
 
-def _load_economy(path: str) -> model.Economy:
+def _load_economy(path: str, finite: bool = True) -> model.Economy:
+    """Parse an economy document; unless `finite` is False (validate reports
+    it as a violation), a non-finite entry is an input error."""
     d = _load_json(path)
     try:
-        return model.Economy.from_dict(d)
+        e = model.Economy.from_dict(d)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExit(_fail_io(f"malformed economy document {path}: {exc}"))
+    bad = [name for name, arr in vars(e).items() if not np.isfinite(arr).all()]
+    if bad and finite:
+        raise SystemExit(_fail_io(
+            f"non-finite entries in {', '.join(bad)} of {path}"))
+    return e
 
 
 OBSERVATION_CSV_COLUMNS = (
@@ -94,14 +101,18 @@ def _load_observation(path: str) -> est.Observation:
 
 
 def _emit(payload: dict, args):
-    text = json.dumps(payload, indent=2, default=str)
+    try:
+        text = json.dumps(payload, indent=2, default=str, allow_nan=False)
+    except ValueError as exc:
+        print(f"error: result is not finite: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_MODEL)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
 
 
 def cmd_validate(args) -> int:
-    e = _load_economy(args.economy)
+    e = _load_economy(args.economy, finite=False)
     rep = model.validate_economy(e, check_ranking=args.ranking,
                                  tol=args.tolerance or model.STRUCT_TOL)
     print(rep)

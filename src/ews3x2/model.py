@@ -143,7 +143,9 @@ class ValidationReport:
         return {
             "ok": self.ok,
             "violations": [
-                {"code": v.code, "detail": v.detail, "magnitude": v.magnitude}
+                # JSON has no infinity: a non-finite magnitude becomes null
+                {"code": v.code, "detail": v.detail,
+                 "magnitude": v.magnitude if np.isfinite(v.magnitude) else None}
                 for v in self.violations
             ],
         }

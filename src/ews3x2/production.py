@@ -30,16 +30,13 @@ class CobbDouglas:
 
     def unit_cost(self, w):
         w = np.asarray(w, dtype=float)
-        c = self.scale * float(np.prod(w ** self.alpha))
-        return c, self.alpha * c / w
+        c = self.scale * (w ** self.alpha).prod(axis=-1)
+        return c, self.alpha * c[..., None] / w
 
-    def aes(self, w):
-        _, a = self.unit_cost(w)
-        return _fill_aes_diagonal(np.ones((3, 3)), self._shares(w, a))
-
-    def _shares(self, w, a):
-        c = float(a @ np.asarray(w, dtype=float))
-        return a * np.asarray(w, dtype=float) / c
+    def aes(self, w, cost=None):
+        w = np.asarray(w, dtype=float)
+        _, a = self.unit_cost(w) if cost is None else cost
+        return _fill_aes_diagonal(np.ones(w.shape + (3,)), _shares(w, a))
 
     def to_dict(self):
         return {"form": "cobb_douglas", "alpha": self.alpha.tolist(),
@@ -62,18 +59,16 @@ class Ces:
     def unit_cost(self, w):
         w = np.asarray(w, dtype=float)
         rho = 1.0 - self.s
-        base = float(self.delta @ w ** rho)
+        base = np.vecdot(w ** rho, self.delta)
         c = self.scale * base ** (1.0 / rho)
         # a_i = dc/dw_i = scale^rho... use log-derivative form, exact for any scale
-        a = c * self.delta * w ** (rho - 1.0) / base
+        a = c[..., None] * self.delta * w ** (rho - 1.0) / base[..., None]
         return c, a
 
-    def aes(self, w):
-        sig = np.full((3, 3), self.s)
-        _, a = self.unit_cost(w)
+    def aes(self, w, cost=None):
         w = np.asarray(w, dtype=float)
-        shares = a * w / float(a @ w)
-        return _fill_aes_diagonal(sig, shares)
+        _, a = self.unit_cost(w) if cost is None else cost
+        return _fill_aes_diagonal(np.full(w.shape + (3,), self.s), _shares(w, a))
 
     def to_dict(self):
         return {"form": "ces", "delta": self.delta.tolist(), "s": self.s,
@@ -91,6 +86,9 @@ class TwoLevelCes:
     elasticity s_out; the nested pair has s_out + (s_in - s_out)/theta_M,
     which is negative when the inner elasticity is small enough relative to
     the outer one.
+
+    Factor columns are taken as ``w.T[i]``: a numpy scalar at one point, a
+    strided view over a batch.
     """
 
     mu: np.ndarray
@@ -114,39 +112,33 @@ class TwoLevelCes:
     def outside(self) -> int:
         return ({T, K, L} - set(self.nest)).pop()
 
-    def _inner_price(self, w):
-        i1, i2 = self.nest
-        rho = 1.0 - self.s_in
-        base = self.mu[0] * w[i1] ** rho + self.mu[1] * w[i2] ** rho
-        return base ** (1.0 / rho), base
-
     def unit_cost(self, w):
-        w = np.asarray(w, dtype=float)
+        wt = np.asarray(w, dtype=float).T
         i1, i2 = self.nest
         out = self.outside
-        q, base_in = self._inner_price(w)
+        rin = 1.0 - self.s_in
+        base_in = self.mu[0] * wt[i1] ** rin + self.mu[1] * wt[i2] ** rin
+        q = base_in ** (1.0 / rin)
         rho = 1.0 - self.s_out
-        base = self.nu[0] * q ** rho + self.nu[1] * w[out] ** rho
+        base = self.nu[0] * q ** rho + self.nu[1] * wt[out] ** rho
         c = self.scale * base ** (1.0 / rho)
         # outer demands: composite and the outside factor
         a_m = c * self.nu[0] * q ** (rho - 1.0) / base
-        rin = 1.0 - self.s_in
-        a = np.empty(3)
-        a[out] = c * self.nu[1] * w[out] ** (rho - 1.0) / base
-        a[i1] = a_m * self.mu[0] * w[i1] ** (rin - 1.0) * q / base_in
-        a[i2] = a_m * self.mu[1] * w[i2] ** (rin - 1.0) * q / base_in
-        return c, a
+        at = np.empty(wt.shape)
+        at[out] = c * self.nu[1] * wt[out] ** (rho - 1.0) / base
+        at[i1] = a_m * self.mu[0] * wt[i1] ** (rin - 1.0) * q / base_in
+        at[i2] = a_m * self.mu[1] * wt[i2] ** (rin - 1.0) * q / base_in
+        return c.T, at.T
 
-    def aes(self, w):
+    def aes(self, w, cost=None):
         w = np.asarray(w, dtype=float)
-        c, a = self.unit_cost(w)
-        shares = a * w / c
+        c, a = self.unit_cost(w) if cost is None else cost
+        st = (a * w).T / c.T
         i1, i2 = self.nest
-        theta_m = shares[i1] + shares[i2]
-        sig = np.full((3, 3), self.s_out)
-        inner = self.s_out + (self.s_in - self.s_out) / theta_m
-        sig[i1, i2] = sig[i2, i1] = inner
-        return _fill_aes_diagonal(sig, shares)
+        sig = np.full(w.shape + (3,), self.s_out)
+        sig.T[i1, i2] = sig.T[i2, i1] = (
+            self.s_out + (self.s_in - self.s_out) / (st[i1] + st[i2]))
+        return _fill_aes_diagonal(sig, st.T)
 
     def to_dict(self):
         return {"form": "two_level_ces", "mu": self.mu.tolist(),
@@ -155,11 +147,21 @@ class TwoLevelCes:
                 "nest": list(self.nest)}
 
 
+def _shares(w, a):
+    """Distributive shares a_i w_i / (a . w) over the last axis."""
+    return a * w / np.vecdot(a, w, keepdims=True)
+
+
 def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """Set diagonals so every share-weighted row sums to zero."""
+    """Set diagonals so every share-weighted row sums to zero.
+
+    sig is (..., 3, 3) and shares (..., 3).
+    """
     sig = np.array(sig, dtype=float)
-    np.fill_diagonal(sig, 0.0)
-    np.fill_diagonal(sig, -(sig * shares).sum(axis=1) / shares)
+    # a fresh C-ordered copy, so this strided slice is a view of its diagonals
+    diag = sig.reshape(sig.shape[:-2] + (9,))[..., ::4]
+    diag[...] = 0.0
+    diag[...] = -(sig * shares[..., None, :]).sum(axis=-1) / shares
     return sig
 
 
@@ -174,20 +176,6 @@ def spec_from_dict(d: dict):
                            d.get("scale", 1.0),
                            tuple(d.get("nest", (T, K))))
     raise ValueError(f"unknown production form {form!r}")
-
-
-def unit_cost(spec, w):
-    """Unit cost and its gradient (the input-output coefficients).
-
-    c is homogeneous of degree 1 in w and a = grad c of degree 0; the closed
-    forms are exact for all three families.
-    """
-    return spec.unit_cost(np.asarray(w, dtype=float))
-
-
-def aes_from_spec(spec, w) -> np.ndarray:
-    """Allen-partial elasticity matrix of the technology at factor prices w."""
-    return spec.aes(np.asarray(w, dtype=float))
 
 
 def calibrated_spec(family: str, theta_col, **kw):
@@ -235,71 +223,97 @@ class EquilibriumPoint:
 
 
 def _system(specs, p, V, w, X):
-    a = np.zeros((3, 2))
-    c = np.zeros(2)
+    """Residuals f (..., 5), coefficients a (..., 3, 2) and unit costs
+    c (..., 2) at (w, X) over any leading batch shape."""
+    c = np.empty(w.shape[:-1] + (2,))
+    a = np.empty(w.shape + (2,))
     for j in range(2):
-        c[j], a[:, j] = specs[j].unit_cost(w)
-    f = np.concatenate([c - p, a @ X - V])
+        c[..., j], a[..., j] = specs[j].unit_cost(w)
+    f = np.concatenate([c - p, (a @ X[..., None])[..., 0] - V], -1)
     return f, a, c
 
 
-def _jacobian(specs, w, X, a):
-    jac = np.zeros((5, 5))
-    jac[:2, :3] = a.T
-    jac[2:, 3:] = a
+def _jacobian(specs, w, X, a, c):
+    """Newton Jacobian of `_system` in (w, X), from the (c, a) it returned."""
+    jac = np.zeros(w.shape[:-1] + (5, 5))
+    jac[..., :2, :3] = a.swapaxes(-1, -2)
+    jac[..., 2:, 3:] = a
     for j in range(2):
-        sig = specs[j].aes(w)
-        c = float(a[:, j] @ w)
-        shares = a[:, j] * w / c
+        a_j = a[..., j]
+        sig = specs[j].aes(w, (c[..., j], a_j))
         # da_ij/dw_h = a_ij * theta_hj * sigma_ihj / w_h
-        jac[2:, :3] += X[j] * a[:, j, None] * shares * sig / w
+        jac[..., 2:, :3] += (X[..., j, None, None] * a_j[..., :, None]
+                             * _shares(w, a_j)[..., None, :] * sig
+                             / w[..., None, :])
     return jac
+
+
+def _newton(specs, p, V, w0, x0, tol: float = 1e-12, max_iter: int = 100):
+    """Damped Newton solve of {zero profit x2, full employment x3} at prices
+    p for endowment vectors V (..., 3), every member from the start (w0, x0).
+
+    Unknowns are (w_T, w_K, w_L, X_1, X_2). Steps are clipped to 50% of any
+    coordinate to preserve positivity and halved while the residual does not
+    decrease. Each member takes the steps of its own solve: once its relative
+    residual is below `tol` it is frozen, and the line search halves only the
+    members whose residual has not yet fallen. Returns w (..., 3), X (..., 2)
+    and a (..., 3, 2); the first failure met raises for the whole batch.
+    """
+    scale = np.concatenate([np.broadcast_to(p, V.shape[:-1] + (2,)), V],
+                           axis=-1)
+
+    def evaluate(z):
+        f, a, c = _system(specs, p, V, z[..., :3], z[..., 3:])
+        return z, f, a, c, np.abs(f / scale).max(axis=-1)
+
+    z = np.empty(V.shape[:-1] + (5,))
+    z[..., :3], z[..., 3:] = w0, x0
+    z, f, a, c, norm = evaluate(z)
+    for _ in range(max_iter):
+        live = ~(norm < tol)
+        if not live.any():
+            break
+        jac = _jacobian(specs, z[..., :3], z[..., 3:], a, c)
+        step = -solve_partial_pivot(jac, f)
+        clip = (np.abs(step) / (0.5 * z)).max(axis=-1)
+        step /= np.maximum(clip, 1.0)[..., None]
+        step[~live] = 0.0  # converged members stay where they are
+        # members whose residual did not fall retry at 1/2, 1/4, ..., 1/2^39;
+        # the others keep the step they took
+        trial = evaluate(z + step)
+        retry = live & ~(trial[-1] < norm)
+        lam = 1.0
+        while retry.any():
+            if lam == 0.5 ** 39:
+                raise NonConvergence(
+                    f"line search stalled at residual {np.max(norm[retry]):.3e}")
+            lam *= 0.5
+            trial = evaluate(np.where(retry[..., None], z + lam * step,
+                                      trial[0]))
+            retry &= ~(trial[-1] < norm)
+        z, f, a, c, norm = trial
+    else:
+        raise NonConvergence(f"no convergence after {max_iter} iterations "
+                             f"(residual {np.max(norm):.3e})")
+    X = z[..., 3:]
+    bad = (X <= 0).any(axis=-1)
+    if bad.any():
+        raise Specialization(
+            f"non-positive output at the solution: X = {X[bad][0]}")
+    return z[..., :3], X, a
 
 
 def solve_equilibrium(specs, p, V, w0=None, x0=None,
                       tol: float = 1e-12, max_iter: int = 100) -> EquilibriumPoint:
-    """Damped Newton solve of {zero profit x2, full employment x3}.
-
-    Unknowns are (w_T, w_K, w_L, X_1, X_2). Steps are clipped to 50% of any
-    coordinate to preserve positivity and halved while the residual does not
-    decrease. Converges to a relative residual below `tol`.
+    """Damped Newton solve at one endowment vector, from (w0, x0) or the
+    unit point: `_newton` with no batch axis. Converges to a relative
+    residual below `tol`.
     """
     p = np.asarray(p, dtype=float)
     V = np.asarray(V, dtype=float)
-    w = np.ones(3) if w0 is None else np.array(w0, dtype=float)
-    X = np.ones(2) if x0 is None else np.array(x0, dtype=float)
-    scale = np.concatenate([p, V])
-
-    f, a, _ = _system(specs, p, V, w, X)
-    norm = float(np.max(np.abs(f / scale)))
-    for _ in range(max_iter):
-        if norm < tol:
-            break
-        jac = _jacobian(specs, w, X, a)
-        step = -solve_partial_pivot(jac, f)
-        z = np.concatenate([w, X])
-        clip = np.max(np.abs(step) / (0.5 * z))
-        if clip > 1.0:
-            step = step / clip
-        lam = 1.0
-        for _ in range(40):
-            z_new = z + lam * step
-            f_new, a_new, _ = _system(specs, p, V, z_new[:3], z_new[3:])
-            norm_new = float(np.max(np.abs(f_new / scale)))
-            if norm_new < norm:
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergence(f"line search stalled at residual {norm:.3e}")
-        w, X = z_new[:3], z_new[3:]
-        f, a, norm = f_new, a_new, norm_new
-    else:
-        raise NonConvergence(f"no convergence after {max_iter} iterations "
-                             f"(residual {norm:.3e})")
-    if np.any(X <= 0):
-        raise Specialization(f"non-positive output at the solution: X = {X}")
-    income = float(p @ X)
-    return EquilibriumPoint(w, p, V, X, a, income)
+    w, X, a = _newton(specs, p, V, 1.0 if w0 is None else w0,
+                      1.0 if x0 is None else x0, tol, max_iter)
+    return EquilibriumPoint(w, p, V, X, a, float(p @ X))
 
 
 def economy_snapshot(eq: EquilibriumPoint, specs) -> Economy:
@@ -315,23 +329,18 @@ def economy_snapshot(eq: EquilibriumPoint, specs) -> Economy:
 def fd_rybczynski(specs, p, V, h: float = 1e-4, base: EquilibriumPoint | None = None):
     """Finite-difference output elasticities to endowment changes.
 
-    Central differences with relative step h on each V_i; the independent
-    nonlinear oracle for the linearized Rybczynski matrix.
+    Central differences with relative step h on each V_i, the six perturbed
+    equilibria solved as one Newton batch from the base point; the
+    independent nonlinear oracle for the linearized Rybczynski matrix.
     """
     p = np.asarray(p, dtype=float)
     V = np.asarray(V, dtype=float)
     if base is None:
         base = solve_equilibrium(specs, p, V)
-    out = np.zeros((2, 3))
-    for i in range(3):
-        vp = V.copy()
-        vp[i] *= 1.0 + h
-        vm = V.copy()
-        vm[i] *= 1.0 - h
-        up = solve_equilibrium(specs, p, vp, w0=base.w, x0=base.X)
-        dn = solve_equilibrium(specs, p, vm, w0=base.w, x0=base.X)
-        out[:, i] = (up.X - dn.X) / base.X / (2.0 * h)
-    return out
+    # rows V_1 up, V_1 down, V_2 up, ...
+    bumps = np.kron(np.eye(3), [[1.0], [-1.0]])
+    _, X, _ = _newton(specs, p, V * (1.0 + h * bumps), base.w, base.X)
+    return ((X[0::2] - X[1::2]) / base.X / (2.0 * h)).T
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,31 @@ TIE_TOL = 1e-12
 
 def solve_partial_pivot(a: np.ndarray, b: np.ndarray,
                         cond_limit: float = 1e12) -> np.ndarray:
-    """Solve a small dense system by LAPACK LU with partial pivoting (gesv).
+    """Solve small dense systems by LAPACK LU with partial pivoting (gesv).
 
-    b is (n,) or (n, k). One factorisation solves for [b | I], which yields
-    both x and the inverse; systems whose 1-norm condition number
-    ||A||_1 ||A^-1||_1 exceeds `cond_limit` or is not finite raise
-    SingularSystem.
+    a is (..., n, n); b is a stack of vectors (..., n) when it has one
+    dimension fewer than a, else of matrices (..., n, k). One factorisation
+    per member solves for [b | I], which yields both x and the inverse; if
+    any member's 1-norm condition number ||A||_1 ||A^-1||_1 exceeds
+    `cond_limit` or is not finite, SingularSystem is raised.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
+    k = 1 if b.ndim == a.ndim - 1 else b.shape[-1]
+    rhs = np.empty(a.shape[:-1] + (k + n,))
+    rhs[..., :k] = b.reshape(rhs.shape[:-1] + (k,))
+    rhs[..., k:] = np.eye(n)
     try:
-        sol = np.linalg.solve(a, np.column_stack([b, np.eye(n)]))
+        sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"LU factorisation failed: {exc}") from None
-    x, inv = sol[:, :-n], sol[:, -n:]
-    cond = np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if not cond <= cond_limit:
+    x, inv = sol[..., :k], sol[..., k:]
+    cond = (np.abs(a).sum(axis=-2).max(axis=-1)
+            * np.abs(inv).sum(axis=-2).max(axis=-1))
+    if not (cond <= cond_limit).all():
         raise SingularSystem(
-            f"1-norm condition {cond:.3e} is not finite or exceeds "
+            f"1-norm condition {np.max(cond):.3e} is not finite or exceeds "
             f"{cond_limit:.1e}")
     return x.reshape(b.shape)
 

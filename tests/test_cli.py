@@ -95,7 +95,8 @@ def test_rybczynski_payload(e0_path, capsys):
     assert d["subregion"] == "quadrant I"
 
 
-@pytest.mark.parametrize("command", ["solve", "rybczynski"])
+@pytest.mark.parametrize("command",
+                         ["solve", "rybczynski", "ews", "classify", "plot"])
 def test_nan_share_is_a_typed_error(e0, tmp_path, capsys, command):
     d = e0.to_dict()
     d["theta_share"][0][0] = float("nan")
@@ -103,9 +104,26 @@ def test_nan_share_is_a_typed_error(e0, tmp_path, capsys, command):
     econ.write_text(json.dumps(d))
     shock = tmp_path / "shock.json"
     shock.write_text(json.dumps(Shock.price(1.0).to_dict()))
-    argv = [command, str(econ)] + ([str(shock)] if command == "solve" else [])
+    argv = (["--out-dir", str(tmp_path), command, str(econ)]
+            + ([str(shock)] if command == "solve" else []))
     assert main(argv) in (1, 2)
-    assert capsys.readouterr().err.startswith("error:")
+    out = capsys.readouterr()
+    assert out.err.startswith("error:")
+    assert "NaN" not in out.out
+    assert not (tmp_path / "figure.svg").exists()
+
+
+def test_validate_reports_nan_share(e0, tmp_path, capsys):
+    d = e0.to_dict()
+    d["theta_share"][0][0] = float("nan")
+    econ = tmp_path / "nan.json"
+    econ.write_text(json.dumps(d))
+    assert main(["validate", str(econ)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("non-finite:")
+    payload = json.loads(out[out.index("{"):])
+    assert [v["code"] for v in payload["violations"]] == ["non-finite"]
+    assert payload["violations"][0]["magnitude"] is None
 
 
 # ---------------------------------------------------------------------------

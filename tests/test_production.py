@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ews3x2 as m
 from ews3x2.model import K, L, T
 from ews3x2.production import (CobbDouglas, Ces, TwoLevelCes, SampledEconomy,
-                               _fill_aes_diagonal, _jacobian, _system,
+                               _fill_aes_diagonal, _jacobian, _newton, _system,
                                spec_from_dict)
 from ews3x2.statics import Shock
 
@@ -85,6 +85,80 @@ def test_homogeneity(spec):
     c2, a2 = spec.unit_cost(2.0 * w)
     assert c2 == pytest.approx(2.0 * c1, rel=1e-12)
     assert np.allclose(a2, a1, rtol=1e-12)
+
+
+def point_unit_cost(spec, w):
+    """The one-point closed forms, in the arithmetic order the spec methods
+    keep at a single point."""
+    if isinstance(spec, CobbDouglas):
+        c = spec.scale * float(np.prod(w ** spec.alpha))
+        return c, spec.alpha * c / w
+    if isinstance(spec, Ces):
+        rho = 1.0 - spec.s
+        base = float(spec.delta @ w ** rho)
+        c = spec.scale * base ** (1.0 / rho)
+        return c, c * spec.delta * w ** (rho - 1.0) / base
+    i1, i2 = spec.nest
+    out = spec.outside
+    rin = 1.0 - spec.s_in
+    base_in = spec.mu[0] * w[i1] ** rin + spec.mu[1] * w[i2] ** rin
+    q = base_in ** (1.0 / rin)
+    rho = 1.0 - spec.s_out
+    base = spec.nu[0] * q ** rho + spec.nu[1] * w[out] ** rho
+    c = spec.scale * base ** (1.0 / rho)
+    a_m = c * spec.nu[0] * q ** (rho - 1.0) / base
+    a = np.empty(3)
+    a[out] = c * spec.nu[1] * w[out] ** (rho - 1.0) / base
+    a[i1] = a_m * spec.mu[0] * w[i1] ** (rin - 1.0) * q / base_in
+    a[i2] = a_m * spec.mu[1] * w[i2] ** (rin - 1.0) * q / base_in
+    return c, a
+
+
+def point_aes(spec, w):
+    c, a = point_unit_cost(spec, w)
+    if isinstance(spec, TwoLevelCes):
+        shares = a * w / c
+        i1, i2 = spec.nest
+        sig = np.full((3, 3), spec.s_out)
+        sig[i1, i2] = sig[i2, i1] = (spec.s_out + (spec.s_in - spec.s_out)
+                                     / (shares[i1] + shares[i2]))
+    else:
+        shares = a * w / float(a @ w)
+        sig = np.full((3, 3), 1.0 if isinstance(spec, CobbDouglas) else spec.s)
+    for i in range(3):
+        sig[i, i] = -sum(shares[h] * sig[i, h] for h in range(3) if h != i) \
+            / shares[i]
+    return sig
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__ + str(
+    getattr(s, "nest", "")))
+def test_single_point_equals_point_formulas(spec):
+    rng = np.random.default_rng(6)
+    for w in rng.uniform(0.3, 3.0, size=(50, 3)):
+        c, a = spec.unit_cost(w)
+        c_ref, a_ref = point_unit_cost(spec, w)
+        assert c == c_ref and np.array_equal(a, a_ref)
+        assert np.array_equal(spec.aes(w), point_aes(spec, w))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__ + str(
+    getattr(s, "nest", "")))
+def test_spec_methods_batch_equals_rows(spec):
+    W = np.random.default_rng(4).uniform(0.3, 3.0, size=(4, 5, 3))
+    c, a = spec.unit_cost(W)
+    sig = spec.aes(W)
+    assert c.shape == (4, 5) and a.shape == (4, 5, 3)
+    assert sig.shape == (4, 5, 3, 3)
+    # the AES from the (c, a) already at hand is the same AES
+    assert np.array_equal(spec.aes(W, (c, a)), sig)
+    for idx in np.ndindex(4, 5):
+        c1, a1 = spec.unit_cost(W[idx])
+        # numpy's array power may differ from its scalar power in the last bit
+        np.testing.assert_allclose(c[idx], c1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(a[idx], a1, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sig[idx], spec.aes(W[idx]), rtol=1e-13,
+                                   atol=1e-13)
 
 
 def test_ces_approaches_cobb_douglas():
@@ -189,8 +263,8 @@ def test_jacobian_matches_central_differences(family):
     p, V = np.ones(2), np.array([1.1, 0.9, 1.3])
     # off the calibrated point w = (1, 1, 1)
     z = np.array([1.3, 0.8, 1.1, 0.9, 1.4])
-    _, a, _ = _system(specs, p, V, z[:3], z[3:])
-    jac = _jacobian(specs, z[:3], z[3:], a)
+    _, a, c = _system(specs, p, V, z[:3], z[3:])
+    jac = _jacobian(specs, z[:3], z[3:], a, c)
     fd = np.zeros((5, 5))
     for k in range(5):
         h = 1e-6 * z[k]
@@ -232,6 +306,96 @@ def test_fd_rybczynski_matches_linear(sampled):
     lin, signs = m.rybczynski_matrix(sampled.economy)
     assert np.sign(fd).astype(int).tolist() == signs.tolist()
     assert np.allclose(fd, lin, rtol=1e-2)
+
+
+def test_fd_rybczynski_batch_equals_solo_solves():
+    """The six-member Newton batch against six separate solves, on the
+    production-backed half of mixed_pool(2024, 400)."""
+    h = 1e-4
+    for k in range(1, 400, 2):
+        s = m.sample_economy(2024 + k, m.SampleConstraints(ranked=True))
+        eq = s.equilibrium
+        fd = m.fd_rybczynski(s.specs, eq.p, eq.V, h=h, base=eq)
+        ref = np.zeros((2, 3))
+        for i in range(3):
+            vp, vm = eq.V.copy(), eq.V.copy()
+            vp[i] *= 1.0 + h
+            vm[i] *= 1.0 - h
+            up = m.solve_equilibrium(s.specs, eq.p, vp, w0=eq.w, x0=eq.X)
+            dn = m.solve_equilibrium(s.specs, eq.p, vm, w0=eq.w, x0=eq.X)
+            ref[:, i] = (up.X - dn.X) / eq.X / (2.0 * h)
+        np.testing.assert_allclose(fd, ref, rtol=1e-6, atol=0)
+        assert np.array_equal(np.sign(fd), np.sign(ref))
+
+
+class CountingSpec:
+    """Counts residual evaluations (unit_cost) and Newton iterations (aes)."""
+
+    def __init__(self, spec):
+        self.spec, self.costs, self.iterations = spec, 0, 0
+
+    def unit_cost(self, w):
+        self.costs += 1
+        return self.spec.unit_cost(w)
+
+    def aes(self, w, cost=None):
+        self.iterations += 1
+        return self.spec.aes(w, cost)
+
+
+def test_newton_batch_members_take_their_solo_steps():
+    s = m.sample_economy(34)
+    eq = s.equilibrium
+    V = eq.V * np.array([[1.0, 1.0, 1.0],       # converged at the start
+                         [1.0001, 1.0, 1.0],    # two warm steps
+                         [0.7, 1.4, 1.2],       # far: extra steps, halvings
+                         [1.0, 0.9999, 1.0]])
+    w0 = np.array([eq.w, eq.w, [2.0, 2.0, 0.5], eq.w])
+    x0 = np.array([eq.X, eq.X, [0.6, 0.6], eq.X])
+    counts = []
+    for k in range(4):
+        specs = tuple(CountingSpec(sp) for sp in s.specs)
+        _newton(specs, eq.p, V[k], w0[k], x0[k])
+        iters = specs[0].iterations
+        counts.append((iters, specs[0].costs - 1 - iters))
+    assert counts[0] == (0, 0) and counts[1][1] == 0
+    assert counts[2][0] > counts[1][0] and counts[2][1] > 0
+    w, X, a = _newton(s.specs, eq.p, V, w0, x0)
+    for k in range(4):
+        # a batch of one is the same arithmetic, so the same bits
+        w1, X1, a1 = _newton(s.specs, eq.p, V[k:k + 1], w0[k:k + 1],
+                             x0[k:k + 1])
+        assert np.array_equal(w[k], w1[0]) and np.array_equal(X[k], X1[0])
+        assert np.array_equal(a[k], a1[0])
+        # one point evaluates the specs on numpy scalars
+        solo = m.solve_equilibrium(s.specs, eq.p, V[k], w0=w0[k], x0=x0[k])
+        np.testing.assert_allclose(X[k], solo.X, rtol=1e-10)
+        np.testing.assert_allclose(w[k], solo.w, rtol=1e-10)
+
+
+CD_SPECS = (m.calibrated_spec("cobb_douglas", [0.45, 0.2, 0.35]),
+            m.calibrated_spec("cobb_douglas", [0.2, 0.5, 0.3]))
+CD_A = np.array([[0.45, 0.2], [0.2, 0.5], [0.35, 0.3]])
+
+
+@pytest.mark.parametrize("V_bad, x0_bad, error", [
+    # endowments far outside the diversification cone: the line search stalls
+    ([5.0, 0.01, 0.02], [1.0, 1.0], m.NonConvergence),
+    # starts at an exact solution with a negative output
+    (CD_A @ [1.0, -0.2], [1.0, -0.2], m.Specialization),
+], ids=["non_convergence", "specialization"])
+def test_newton_batch_raises_the_failing_members_error(V_bad, x0_bad, error):
+    p = np.ones(2)
+    with pytest.raises(error) as solo:
+        _newton(CD_SPECS, p, np.asarray(V_bad), 1.0, np.asarray(x0_bad))
+    V = np.stack([CD_A @ [1.0, 1.2], V_bad, CD_A @ [0.8, 1.0]])
+    x0 = np.array([[1.0, 1.0], x0_bad, [1.0, 1.0]])
+    with pytest.raises(error) as batch:
+        _newton(CD_SPECS, p, V, 1.0, x0)
+    assert str(batch.value) == str(solo.value)
+    # without the failing member the batch solves
+    w, X, _ = _newton(CD_SPECS, p, V[[0, 2]], 1.0, 1.0)
+    np.testing.assert_allclose(X, [[1.0, 1.2], [0.8, 1.0]], rtol=1e-10)
 
 
 def test_linear_solver_matches_nonlinear_price_shock(sampled):

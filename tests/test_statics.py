@@ -63,6 +63,26 @@ def test_partial_pivot_non_finite_entry_is_singular(bad):
         solve_partial_pivot(a, np.ones(3))
 
 
+def test_partial_pivot_batch_equals_member_solves():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(7, 5, 5))
+    b = rng.normal(size=(7, 5))
+    bm = rng.normal(size=(7, 5, 3))
+    x, xm = solve_partial_pivot(a, b), solve_partial_pivot(a, bm)
+    assert x.shape == (7, 5) and xm.shape == (7, 5, 3)
+    for k in range(7):
+        assert np.array_equal(x[k], solve_partial_pivot(a[k], b[k]))
+        assert np.array_equal(xm[k], solve_partial_pivot(a[k], bm[k]))
+
+
+def test_partial_pivot_batch_checks_each_member():
+    a = np.stack([np.eye(3), np.diag([1.0, 1e-14, 1.0]), 2.0 * np.eye(3)])
+    with pytest.raises(m.SingularSystem):
+        solve_partial_pivot(a, np.ones((3, 3)))
+    x = solve_partial_pivot(a[[0, 2]], np.ones((2, 3)))
+    assert np.array_equal(x, [[1.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
+
+
 # ---------------------------------------------------------------------------
 # Shock helpers and labels
 
