@@ -45,18 +45,39 @@ def _fail_io(msg: str) -> int:
     return EXIT_IO
 
 
+ECONOMY_SHAPES = {"theta_share": (3, 2), "lambda_share": (3, 2),
+                  "theta_good": (2,), "theta_factor": (3,), "sigma": (2, 3, 3)}
+
+
 def _load_economy(path: str, finite: bool = True) -> model.Economy:
-    """Parse an economy document; unless `finite` is False (validate reports
-    it as a violation), a non-finite entry is an input error."""
+    """Parse an economy document. A wrongly shaped array is an input error,
+    and so is a non-finite entry unless `finite` is False (validate reports
+    it as a violation)."""
     d = _load_json(path)
     try:
         e = model.Economy.from_dict(d)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExit(_fail_io(f"malformed economy document {path}: {exc}"))
+    wrong = [f"{name} has shape {arr.shape}, not {ECONOMY_SHAPES[name]}"
+             for name, arr in vars(e).items() if arr.shape != ECONOMY_SHAPES[name]]
+    if wrong:
+        raise SystemExit(_fail_io(
+            f"malformed economy document {path}: {'; '.join(wrong)}"))
     bad = [name for name, arr in vars(e).items() if not np.isfinite(arr).all()]
     if bad and finite:
         raise SystemExit(_fail_io(
             f"non-finite entries in {', '.join(bad)} of {path}"))
+    return e
+
+
+def _load_valid_economy(args) -> model.Economy:
+    """Parse `args.economy` for a compute command; a structurally invalid
+    economy (ranking not required) exits 1 listing every violation."""
+    e = _load_economy(args.economy)
+    rep = model.validate_economy(e, tol=args.tolerance or model.STRUCT_TOL)
+    if not rep.ok:
+        print(f"error: invalid economy {args.economy}:\n{rep}", file=sys.stderr)
+        raise SystemExit(EXIT_MODEL)
     return e
 
 
@@ -121,7 +142,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ews(args) -> int:
-    e = _load_economy(args.economy)
+    e = _load_valid_economy(args)
     g = model.ews_matrix(e)
     lhs, mid, rhs = g.determinant_identity()
     payload = {
@@ -137,7 +158,7 @@ def cmd_ews(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    e = _load_economy(args.economy)
+    e = _load_valid_economy(args)
     g = model.ews_matrix(e)
     try:
         p = model.ews_ratio_vector(g)
@@ -159,7 +180,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    e = _load_economy(args.economy)
+    e = _load_valid_economy(args)
     d = _load_json(args.shock)
     try:
         shock = statics.Shock.from_dict(d)
@@ -175,7 +196,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rybczynski(args) -> int:
-    e = _load_economy(args.economy)
+    e = _load_valid_economy(args)
     try:
         values, signs = statics.rybczynski_matrix(e)
     except Ews3x2Error as exc:
@@ -304,7 +325,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     from .svgfig import Figure, autoscale_viewport
-    e = _load_economy(args.economy)
+    e = _load_valid_economy(args)
     r = e.theta_L_over_K
     g = model.ews_matrix(e)
     try:

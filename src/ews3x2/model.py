@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, ExhaustedRejection
 
 FACTORS = ("T", "K", "L")
 SECTORS = ("1", "2")
@@ -216,9 +216,7 @@ def validate_economy(e: Economy, check_ranking: bool = False,
                         "does not sum to 0", r)
 
     if check_ranking:
-        r_t = th[T, 0] / th[T, 1]
-        r_l = th[L, 0] / th[L, 1]
-        r_k = th[K, 0] / th[K, 1]
+        r_t, r_k, r_l = th[:, 0] / th[:, 1]
         if not (r_t > r_l > r_k):
             rep.add("intensity-ranking",
                     "theta_T1/theta_T2 > theta_L1/theta_L2 > theta_K1/theta_K2 fails",
@@ -229,11 +227,18 @@ def validate_economy(e: Economy, check_ranking: bool = False,
     return rep
 
 
+def intensity_ranked(th: np.ndarray) -> np.ndarray:
+    """The assumed factor-intensity ranking over shares th (..., 3, 2):
+    theta_T1/theta_T2 > theta_L1/theta_L2 > theta_K1/theta_K2 and
+    theta_L1 > theta_L2."""
+    r = th[..., 0] / th[..., 1]
+    return ((r[..., T] > r[..., L]) & (r[..., L] > r[..., K])
+            & (th[..., L, 0] > th[..., L, 1]))
+
+
 def is_ranked(e: Economy) -> bool:
     """True iff the snapshot satisfies the assumed factor-intensity ranking."""
-    th = e.theta_share
-    return (th[T, 0] / th[T, 1] > th[L, 0] / th[L, 1] > th[K, 0] / th[K, 1]
-            and th[L, 0] > th[L, 1])
+    return bool(intensity_ranked(e.theta_share))
 
 
 def epsilon(e: Economy) -> np.ndarray:
@@ -367,6 +372,47 @@ def classify_substitutes(g: EwsMatrix) -> dict:
     return out
 
 
+def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Set diagonals so every share-weighted row sums to zero.
+
+    sig is (..., 3, 3) and shares (..., 3).
+    """
+    sig = np.array(sig, dtype=float)
+    # a fresh C-ordered copy, so this strided slice is a view of its diagonals
+    diag = sig.reshape(sig.shape[:-2] + (9,))[..., ::4]
+    diag[...] = 0.0
+    diag[...] = -(sig * shares[..., None, :]).sum(axis=-1) / shares
+    return sig
+
+
+#: share candidates drawn per Dirichlet call
+_BLOCK = 32
+
+
+def _draw_shares(rng, min_share: float, ranked: bool, max_draws: int):
+    """Yield the shares (3, 2), out of at most `max_draws` candidates, that
+    pass the floor `min_share` and, if `ranked`, the intensity ranking.
+
+    Candidates are drawn in blocks with one Dirichlet call and filtered as
+    arrays. dirichlet(alpha, size=(n, 2)) draws the same gammas in the same
+    order as n calls with size=2, so on a hit at i the generator is rewound
+    and i + 1 candidates redrawn, leaving it where one-at-a-time draws would.
+    """
+    left = max_draws
+    while left > 0:
+        n = min(_BLOCK, left)
+        state = rng.bit_generator.state
+        th = rng.dirichlet(np.ones(3), size=(n, 2)).swapaxes(-1, -2)
+        ok = th.min(axis=(-2, -1)) >= min_share
+        if ranked:
+            ok &= intensity_ranked(th)
+        if ok.any():
+            n = int(ok.argmax()) + 1
+            rng.bit_generator.state = state
+            yield rng.dirichlet(np.ones(3), size=(n, 2))[-1].T
+        left -= n
+
+
 def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
                           max_draws: int = 100_000) -> Economy:
     """Rejection-sample a valid economy directly at the share/AES level.
@@ -376,38 +422,21 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
     diagonal), so it reaches substitution patterns no single-nest CES
     technology can produce. Deterministic for a fixed seed.
     """
-    from .errors import ExhaustedRejection
-
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
-        theta_share = rng.dirichlet(np.ones(3), size=2).T
-        if np.min(theta_share) < min_share:
-            continue
-        if ranked:
-            rt = theta_share[T, 0] / theta_share[T, 1]
-            rk = theta_share[K, 0] / theta_share[K, 1]
-            rl = theta_share[L, 0] / theta_share[L, 1]
-            if not (rt > rl > rk and theta_share[L, 0] > theta_share[L, 1]):
-                continue
+    for theta_share in _draw_shares(rng, min_share, ranked, max_draws):
         theta_good = rng.dirichlet(np.ones(2))
         if np.min(theta_good) < 0.01:
             continue
         sigma = np.zeros((2, 3, 3))
         concave = True
         for j in range(2):
-            off = rng.uniform(-3.0, 6.0, size=3)
-            s = np.zeros((3, 3))
-            s[T, K] = s[K, T] = off[0]
-            s[T, L] = s[L, T] = off[1]
-            s[K, L] = s[L, K] = off[2]
-            for i in range(3):
-                w = sum(theta_share[h, j] * s[i, h]
-                        for h in range(3) if h != i)
-                s[i, i] = -w / theta_share[i, j]
+            tk, tl, kl = rng.uniform(-3.0, 6.0, size=3)
+            tth = theta_share[:, j]
+            s = _fill_aes_diagonal([[0.0, tk, tl], [tk, 0.0, kl],
+                                    [tl, kl, 0.0]], tth)
             # curvature: the share-weighted Allen matrix of a concave cost
             # function is negative semidefinite (one zero eigenvalue from
             # homogeneity, the rest strictly negative)
-            tth = theta_share[:, j]
             weighted = tth[:, None] * s * tth[None, :]
             if np.linalg.eigvalsh(weighted)[-1] > 1e-10:
                 concave = False

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExhaustedRejection, NonConvergence, Specialization
-from .model import Economy, K, L, T, ews_matrix, validate_economy
+from .errors import (DegenerateDenominator, ExhaustedRejection,
+                     NonConvergence, Specialization)
+from .geometry import quadrant
+from .model import (Economy, K, L, T, _draw_shares, _fill_aes_diagonal,
+                    ews_matrix, ews_ratio_vector, validate_economy)
 from .statics import solve_partial_pivot
 
 
@@ -150,19 +153,6 @@ class TwoLevelCes:
 def _shares(w, a):
     """Distributive shares a_i w_i / (a . w) over the last axis."""
     return a * w / np.vecdot(a, w, keepdims=True)
-
-
-def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """Set diagonals so every share-weighted row sums to zero.
-
-    sig is (..., 3, 3) and shares (..., 3).
-    """
-    sig = np.array(sig, dtype=float)
-    # a fresh C-ordered copy, so this strided slice is a view of its diagonals
-    diag = sig.reshape(sig.shape[:-2] + (9,))[..., ::4]
-    diag[...] = 0.0
-    diag[...] = -(sig * shares[..., None, :]).sum(axis=-1) / shares
-    return sig
 
 
 def spec_from_dict(d: dict):
@@ -395,16 +385,8 @@ def sample_economy(seed: int, constraints: SampleConstraints = SampleConstraints
     """
     rng = np.random.default_rng(seed)
     cons = constraints
-    for _ in range(max_draws):
-        theta_share = rng.dirichlet(np.ones(3), size=2).T
-        if np.min(theta_share) < cons.min_share:
-            continue
-        if cons.ranked:
-            rt = theta_share[T, 0] / theta_share[T, 1]
-            rl = theta_share[L, 0] / theta_share[L, 1]
-            rk = theta_share[K, 0] / theta_share[K, 1]
-            if not (rt > rl > rk and theta_share[L, 0] > theta_share[L, 1]):
-                continue
+    for theta_share in _draw_shares(rng, cons.min_share, cons.ranked,
+                                    max_draws):
         families = cons.families
         nest = None
         if cons.quadrant == "IV":
@@ -424,14 +406,11 @@ def sample_economy(seed: int, constraints: SampleConstraints = SampleConstraints
         if not validate_economy(e, check_ranking=cons.ranked).ok:
             continue
         if cons.quadrant is not None:
-            g = ews_matrix(e)
-            if abs(g.g_LT) < 1e-12:
+            try:
+                quad, _ = quadrant(ews_ratio_vector(ews_matrix(e)))
+            except DegenerateDenominator:
                 continue
-            s_dir = g.g_LK / g.g_LT
-            u_dir = g.g_KT / g.g_LT
-            quad = ("I" if u_dir > 0 else "IV") if s_dir > 0 else \
-                   ("II" if u_dir > 0 else "III")
-            if quad != cons.quadrant:
+            if quad.value != cons.quadrant:
                 continue
         return SampledEconomy(e, specs, eq, seed)
     raise ExhaustedRejection(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,55 @@ def test_validate_reports_nan_share(e0, tmp_path, capsys):
     payload = json.loads(out[out.index("{"):])
     assert [v["code"] for v in payload["violations"]] == ["non-finite"]
     assert payload["violations"][0]["magnitude"] is None
+
+
+def _run_on(d, tmp_path, command):
+    econ = tmp_path / "economy.json"
+    econ.write_text(json.dumps(d))
+    shock = tmp_path / "shock.json"
+    shock.write_text(json.dumps(Shock.price(1.0).to_dict()))
+    argv = (["--out-dir", str(tmp_path), command, str(econ)]
+            + ([str(shock)] if command == "solve" else []))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+MISSHAPEN = {
+    "theta_share": [[0.5, 0.3], [0.5, 0.7]],
+    "theta_good": [0.3, 0.3, 0.4],
+    "sigma": [[[-1.0, 1.0], [1.0, -1.0]]] * 2,
+}
+
+
+@pytest.mark.parametrize("field", MISSHAPEN)
+@pytest.mark.parametrize("command", ["validate", "ews", "classify", "solve",
+                                     "rybczynski", "plot"])
+def test_misshapen_array_is_an_input_error(e0, tmp_path, capsys, command,
+                                           field):
+    d = e0.to_dict()
+    d[field] = MISSHAPEN[field]
+    assert _run_on(d, tmp_path, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed economy document")
+    assert f"{field} has shape" in err
+    assert not (tmp_path / "figure.svg").exists()
+
+
+@pytest.mark.parametrize("command",
+                         ["ews", "classify", "solve", "rybczynski", "plot"])
+def test_invalid_economy_is_not_computed_on(e0, tmp_path, capsys, command):
+    d = e0.to_dict()
+    d["theta_share"][0][0] = 0.0
+    assert _run_on(d, tmp_path, command) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: invalid economy")
+    codes = [line.split(":")[0] for line in out.err.splitlines()[1:]]
+    assert codes == [v.code for v in m.validate_economy(
+        m.Economy.from_dict(d)).violations]
+    assert {"share-column-sum", "share-range"} <= set(codes)
+    assert out.out == ""
+    assert not (tmp_path / "figure.svg").exists()
 
 
 # ---------------------------------------------------------------------------

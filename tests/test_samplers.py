@@ -1,0 +1,214 @@
+"""Block-drawn share candidates: the samplers keep the one-at-a-time stream.
+
+The reference samplers below are the one-candidate-per-iteration loops the
+block draw replaced, kept as they were apart from counting the candidates
+they use. Each test hands the same fresh Generator to a reference and to the
+library sampler and asserts the same result, bit for bit, and the same
+generator state afterwards.
+"""
+
+import numpy as np
+import pytest
+
+import ews3x2 as m
+from ews3x2.errors import ExhaustedRejection
+from ews3x2.model import K, L, T, ews_matrix, validate_economy
+from ews3x2.production import (EquilibriumPoint, SampledEconomy, _draw_spec,
+                               economy_snapshot)
+
+SEEDS = range(200)
+
+
+def reference_sample_economy_shares(seed, ranked=True, min_share=0.02,
+                                    max_draws=100_000):
+    """One-at-a-time share-level sampler; returns (economy, candidates)."""
+    rng = np.random.default_rng(seed)
+    draws = 0
+    for _ in range(max_draws):
+        draws += 1
+        theta_share = rng.dirichlet(np.ones(3), size=2).T
+        if np.min(theta_share) < min_share:
+            continue
+        if ranked:
+            rt = theta_share[T, 0] / theta_share[T, 1]
+            rk = theta_share[K, 0] / theta_share[K, 1]
+            rl = theta_share[L, 0] / theta_share[L, 1]
+            if not (rt > rl > rk and theta_share[L, 0] > theta_share[L, 1]):
+                continue
+        theta_good = rng.dirichlet(np.ones(2))
+        if np.min(theta_good) < 0.01:
+            continue
+        sigma = np.zeros((2, 3, 3))
+        concave = True
+        for j in range(2):
+            off = rng.uniform(-3.0, 6.0, size=3)
+            s = np.zeros((3, 3))
+            s[T, K] = s[K, T] = off[0]
+            s[T, L] = s[L, T] = off[1]
+            s[K, L] = s[L, K] = off[2]
+            for i in range(3):
+                w = sum(theta_share[h, j] * s[i, h]
+                        for h in range(3) if h != i)
+                s[i, i] = -w / theta_share[i, j]
+            tth = theta_share[:, j]
+            weighted = tth[:, None] * s * tth[None, :]
+            if np.linalg.eigvalsh(weighted)[-1] > 1e-10:
+                concave = False
+                break
+            sigma[j] = s
+        if not concave:
+            continue
+        e = m.Economy.from_shares(theta_share, theta_good, sigma)
+        if not validate_economy(e, check_ranking=ranked).ok:
+            continue
+        g = ews_matrix(e)
+        off = (g.g_LK, g.g_LT, g.g_KT)
+        if not (np.all(np.diag(g.g) < 0)
+                and sum(v < 0 for v in off) <= 1
+                and min(g.determinant_identity()) > 0):
+            continue
+        return e, draws
+    raise ExhaustedRejection(
+        f"no valid share-level economy within {max_draws} draws")
+
+
+def reference_sample_economy(seed, constraints=m.SampleConstraints(),
+                             max_draws=100_000):
+    """One-at-a-time production-backed sampler; returns (sample, candidates)."""
+    rng = np.random.default_rng(seed)
+    cons = constraints
+    draws = 0
+    for _ in range(max_draws):
+        draws += 1
+        theta_share = rng.dirichlet(np.ones(3), size=2).T
+        if np.min(theta_share) < cons.min_share:
+            continue
+        if cons.ranked:
+            rt = theta_share[T, 0] / theta_share[T, 1]
+            rl = theta_share[L, 0] / theta_share[L, 1]
+            rk = theta_share[K, 0] / theta_share[K, 1]
+            if not (rt > rl > rk and theta_share[L, 0] > theta_share[L, 1]):
+                continue
+        families = cons.families
+        nest = None
+        if cons.quadrant == "IV":
+            families = ("two_level_ces",)
+            nest = (T, K)
+        specs = tuple(_draw_spec(rng, families[rng.integers(len(families))],
+                                 theta_share[:, j], nest=nest)
+                      for j in range(2))
+        X = rng.uniform(0.5, 2.0, size=2)
+        w = np.ones(3)
+        p = np.ones(2)
+        a = np.stack([specs[j].unit_cost(w)[1] for j in range(2)], axis=1)
+        V = a @ X
+        eq = EquilibriumPoint(w, p, V, X, a, float(p @ X))
+        e = economy_snapshot(eq, specs)
+        if not validate_economy(e, check_ranking=cons.ranked).ok:
+            continue
+        if cons.quadrant is not None:
+            g = ews_matrix(e)
+            if abs(g.g_LT) < 1e-12:
+                continue
+            s_dir = g.g_LK / g.g_LT
+            u_dir = g.g_KT / g.g_LT
+            quad = ("I" if u_dir > 0 else "IV") if s_dir > 0 else \
+                   ("II" if u_dir > 0 else "III")
+            if quad != cons.quadrant:
+                continue
+        return SampledEconomy(e, specs, eq, seed), draws
+    raise ExhaustedRejection(
+        f"no economy satisfying {cons} within {max_draws} draws (seed {seed})")
+
+
+def assert_same_economy(a, b):
+    for name in ("theta_share", "lambda_share", "theta_good", "theta_factor",
+                 "sigma"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_same_sample(a, b):
+    assert_same_economy(a.economy, b.economy)
+    assert [s.to_dict() for s in a.specs] == [s.to_dict() for s in b.specs]
+    for name in ("w", "p", "V", "X", "a"):
+        assert np.array_equal(getattr(a.equilibrium, name),
+                              getattr(b.equilibrium, name)), name
+    assert a.equilibrium.income == b.equilibrium.income
+
+
+def same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+SHARE_MODES = {"shares_ranked": True, "shares_unranked": False}
+PRODUCTION_MODES = {
+    "ranked": m.SampleConstraints(ranked=True),
+    "quadrant_iv": m.SampleConstraints(ranked=True, quadrant="IV"),
+}
+
+
+@pytest.mark.parametrize("ranked", SHARE_MODES.values(), ids=SHARE_MODES)
+def test_share_sampler_keeps_the_stream(ranked):
+    for seed in SEEDS:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        e = m.sample_economy_shares(rng, ranked=ranked)
+        ref, _ = reference_sample_economy_shares(ref_rng, ranked=ranked)
+        assert_same_economy(e, ref)
+        assert same_state(rng, ref_rng), seed
+
+
+@pytest.mark.parametrize("cons", PRODUCTION_MODES.values(),
+                         ids=PRODUCTION_MODES)
+def test_production_sampler_keeps_the_stream(cons):
+    for seed in SEEDS:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        s = m.sample_economy(rng, cons)
+        ref, _ = reference_sample_economy(ref_rng, cons)
+        assert_same_sample(s, ref)
+        assert same_state(rng, ref_rng), seed
+    # an integer seed is still what the sample records
+    assert m.sample_economy(7, cons).seed == 7
+
+
+def _outcome(fn, *args, **kwargs):
+    """Message from an integer seed, and the generator state a run leaves."""
+    with pytest.raises(ExhaustedRejection) as info:
+        fn(11, *args, **kwargs)
+    rng = np.random.default_rng(11)
+    with pytest.raises(ExhaustedRejection):
+        fn(rng, *args, **kwargs)
+    return str(info.value), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("max_draws", [0, 1, 31, 32, 33, 100])
+def test_exhausted_budget_matches_reference(max_draws):
+    # three shares of at least 0.34 cannot sum to one
+    assert (_outcome(m.sample_economy_shares, min_share=0.34,
+                     max_draws=max_draws)
+            == _outcome(reference_sample_economy_shares, min_share=0.34,
+                        max_draws=max_draws))
+    cons = m.SampleConstraints(min_share=0.34)
+    assert (_outcome(m.sample_economy, cons, max_draws=max_draws)
+            == _outcome(reference_sample_economy, cons, max_draws=max_draws))
+
+
+@pytest.mark.parametrize("ranked", SHARE_MODES.values(), ids=SHARE_MODES)
+def test_share_budget_ending_on_the_accepted_candidate(ranked):
+    for seed in range(10):
+        expected, draws = reference_sample_economy_shares(seed, ranked)
+        assert_same_economy(
+            m.sample_economy_shares(seed, ranked, max_draws=draws), expected)
+        with pytest.raises(ExhaustedRejection,
+                           match=f"within {draws - 1} draws"):
+            m.sample_economy_shares(seed, ranked, max_draws=draws - 1)
+
+
+@pytest.mark.parametrize("cons", PRODUCTION_MODES.values(),
+                         ids=PRODUCTION_MODES)
+def test_production_budget_ending_on_the_accepted_candidate(cons):
+    for seed in range(10):
+        expected, draws = reference_sample_economy(seed, cons)
+        assert_same_sample(m.sample_economy(seed, cons, draws), expected)
+        with pytest.raises(ExhaustedRejection,
+                           match=f"within {draws - 1} draws"):
+            m.sample_economy(seed, cons, draws - 1)
