@@ -15,8 +15,7 @@ from .geometry import (Quadrant, SegmentAB, SubregionLabel, VectorLine,
                        quadrant, region_contains, rybczynski_pattern,
                        segment_ab, vector_line)
 from .statics import (Response, Shock, h_checks, lemma2_diagnostics,
-                      lines_xyz, rybczynski_matrix, solve_linear,
-                      stolper_samuelson)
+                      rybczynski_matrix, solve_linear, stolper_samuelson)
 from .production import (CobbDouglas, Ces, EquilibriumPoint, SampleConstraints,
                          TwoLevelCes, appendix_f_sweep, calibrated_spec,
                          economy_snapshot, fd_rybczynski, sample_economy,

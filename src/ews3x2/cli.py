@@ -241,9 +241,9 @@ def _write_estimate_svg(obs, rep, path):
     fig.add_boundary(r)
     if t1.point_a is not None and t1.point_b is not None:
         fig.add_segment(t1.point_a, t1.point_b)
-    th = norm.theta_share
-    fig.add_threshold(float(th[model.K, 0] / th[model.T, 0]), "S'(R_L1)")
-    fig.add_threshold(float(th[model.K, 1] / th[model.T, 1]), "S'(R_L2)")
+    t_1, t_2 = geometry.r_thresholds(norm.theta_share)
+    fig.add_threshold(t_1, "S'(R_L1)")
+    fig.add_threshold(t_2, "S'(R_L2)")
     Path(path).write_text(fig.to_svg())
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateObservation, UnsupportedRanking, ZeroP)
-from .geometry import (Quadrant, RYBCZYNSKI_PATTERNS, SubregionLabel, quadrant)
-from .model import FACTORS, K, L, RatioPoint, T
+from .geometry import (RYBCZYNSKI_PATTERNS, SubregionLabel, endpoint_a,
+                       endpoint_b, quadrant, r_thresholds)
+from .model import FACTORS, K, L, RatioPoint, T, intensity_ranked
 from .statics import ranking_label, sign_label
 
 #: relative dead band for sign decisions on measured rates
@@ -125,17 +126,15 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo).
     """
     th = obs.theta_share
-    ratios = th[:, 0] / th[:, 1]
-    order = tuple(int(i) for i in np.argsort(-ratios))
+    order = tuple(int(i) for i in np.argsort(-(th[:, 0] / th[:, 1])))
     perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
-    if not (ratios[order[0]] > ratios[order[1]] > ratios[order[2]]):
-        raise UnsupportedRanking("tied intensity ratios; no strict ranking exists")
     idx = list(perm)
     th2 = th[idx, :]
-    if not th2[L, 0] > th2[L, 1]:
+    if not intensity_ranked(th2):
         raise UnsupportedRanking(
-            "middle factor is not used intensively in sector 1 under any "
-            "relabeling; this configuration is out of scope")
+            "no relabeling gives strict intensity ratios with the middle "
+            "factor used intensively in sector 1; this configuration is out "
+            "of scope")
     w2 = obs.w_star[idx]
     a2 = obs.a_star[idx, :] if obs.a_star is not None else None
     a02 = None if a2 is not None else obs.a0_prime[idx]
@@ -159,15 +158,9 @@ def point_a(obs: Observation) -> RatioPoint:
     """Segment endpoint A from the factor-price changes alone."""
     w = obs.w_star
     scale = max(float(np.max(np.abs(w))), 1e-300)
-    w_kl = w[K] - w[L]
-    w_kt = w[K] - w[T]
-    if _signed(w_kl, scale) == 0 or _signed(w_kt, scale) == 0:
+    if _signed(w[K] - w[L], scale) == 0 or _signed(w[K] - w[T], scale) == 0:
         raise DegenerateObservation("W_KL or W_KT inside the dead band; point A undefined")
-    tf = obs.theta_factor
-    r = float(tf[L] / tf[K])
-    s = -(w[T] - w[L]) / w_kl
-    u = r * (-(w[L] - w[T]) / w_kt)
-    return RatioPoint(float(s), float(u), r)
+    return endpoint_a(w, obs.theta_factor)
 
 
 def point_b(obs: Observation) -> RatioPoint:
@@ -176,11 +169,7 @@ def point_b(obs: Observation) -> RatioPoint:
     scale = max(float(np.max(np.abs(a0))), 1e-300)
     if _signed(a0[T], scale) == 0 or _signed(a0[L], scale) == 0:
         raise DegenerateObservation("a_T0' or a_L0' inside the dead band; point B undefined")
-    tf = obs.theta_factor
-    r = float(tf[L] / tf[K])
-    s = a0[K] / a0[T] * (tf[K] / tf[T])
-    u = a0[K] / a0[L]
-    return RatioPoint(float(s), float(u), r)
+    return endpoint_b(a0, obs.theta_factor)
 
 
 @dataclass(frozen=True)
@@ -258,12 +247,10 @@ def corollary1_subregion(obs: Observation, t1v: Theorem1Verdict) -> CorollaryRes
     """
     if not t1v.quadrant_iv or t1v.a0_label != "C":
         return CorollaryResult("not-quadrant-IV", None, None, {}, ())
-    th = obs.theta_share
     w = obs.w_star
     p = obs.p_star
     scale = obs.rate_scale()
-    t_1 = float(th[K, 0] / th[T, 0])  # S'(R_L1)
-    t_2 = float(th[K, 1] / th[T, 1])  # S'(R_L2)
+    t_1, t_2 = r_thresholds(obs.theta_share)  # S'(R_L1), S'(R_L2)
     s_a = t1v.point_a.s
     s_b = t1v.point_b.s
 

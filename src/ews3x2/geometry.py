@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (AsymptoteHit, DegenerateShares, DegenerateShock,
                      TangentOrComplexRoots, UnmappedRegion)
-from .model import Economy, K, L, RatioPoint, T, ews_matrix
+from .model import Economy, K, L, RatioPoint, T
 from .statics import Response
 
 #: points closer than this to a subregion border line are labeled Boundary
@@ -73,12 +73,10 @@ def quadrant(p: RatioPoint) -> tuple:
 @dataclass(frozen=True)
 class VectorLine:
     """The straight line U' = -a1*S' + b1 the ratio vector must lie on,
-    given one non-degenerate shock. g0 is the (positive) common scale
-    factor tying the line to the shock."""
+    given one non-degenerate shock."""
 
     a1: float
     b1: float
-    g0: float
 
     def u_at(self, s: float) -> float:
         return -self.a1 * s + self.b1
@@ -98,9 +96,7 @@ def vector_line(resp: Response, e: Economy) -> VectorLine:
     tf = e.theta_factor
     a1 = a0[T] * tf[T] * W[L, K] / (a0[L] * tf[K] * W[K, T])
     b1 = a0[K] * W[L, T] / (a0[L] * W[K, T])
-    g = ews_matrix(e)
-    g0 = (g.g_KT * tf[K] * (g.g_LK + g.g_LT) + g.g_LT * g.g_LK * tf[L])
-    return VectorLine(float(a1), float(b1), float(g0))
+    return VectorLine(float(a1), float(b1))
 
 
 def line_boundary_intersections(line: VectorLine, theta_L_over_K: float) -> tuple:
@@ -160,27 +156,36 @@ class SegmentAB:
         return abs(p.u - self.line.u_at(p.s)) <= tol * scale
 
 
+def endpoint_a(w_star, theta_factor) -> RatioPoint:
+    """Segment endpoint A = (-W_TL/W_KL, (theta_L/theta_K)(-W_LT/W_KT)) from
+    the factor-price changes alone, with W_ih = w_i* - w_h*."""
+    w = w_star
+    r = float(theta_factor[L] / theta_factor[K])
+    return RatioPoint(float(-(w[T] - w[L]) / (w[K] - w[L])),
+                      float(r * (-(w[L] - w[T]) / (w[K] - w[T]))), r)
+
+
+def endpoint_b(a0_prime, theta_factor) -> RatioPoint:
+    """Segment endpoint B = ((a_K0'/a_T0')(theta_K/theta_T), a_K0'/a_L0') from
+    the aggregate input-coefficient changes alone."""
+    a0, tf = a0_prime, theta_factor
+    return RatioPoint(float(a0[K] / a0[T] * (tf[K] / tf[T])),
+                      float(a0[K] / a0[L]), float(tf[L] / tf[K]))
+
+
 def segment_ab(line: VectorLine, resp: Response, e: Economy) -> SegmentAB:
     """Endpoints A and B of the boundary chord, in closed form.
 
-    A = (-W_TL/W_KL, (theta_L/theta_K)(-W_LT/W_KT)) and
-    B = ((a_K0'/a_T0')(theta_K/theta_T), a_K0'/a_L0'); both coincide with the
-    roots of the line/boundary quadratic.
+    Both coincide with the roots of the line/boundary quadratic.
     """
     W, a0 = resp.W, resp.a0_prime
-    tf = e.theta_factor
     for name, v in (("W_KL", W[K, L]), ("W_KT", W[K, T]),
                     ("a_T0'", a0[T]), ("a_L0'", a0[L])):
         if abs(v) < 1e-12:
             raise DegenerateShock(f"{name} = {v:.3e}; segment endpoints undefined")
-    r = float(tf[L] / tf[K])
-    sign = 1 if ews_matrix(e).g_LT > 0 else -1
-    a = RatioPoint(float(-W[T, L] / W[K, L]), float(r * (-W[L, T] / W[K, T])),
-                   r, sign)
-    b = RatioPoint(float(a0[K] / a0[T] * (tf[K] / tf[T])), float(a0[K] / a0[L]),
-                   r, sign)
-    roots = line_boundary_intersections(line, r)
-    return SegmentAB(a, b, line, roots)
+    roots = line_boundary_intersections(line, e.theta_L_over_K)
+    return SegmentAB(endpoint_a(resp.w_star, e.theta_factor),
+                     endpoint_b(a0, e.theta_factor), line, roots)
 
 
 def point_q(e: Economy) -> RatioPoint:
@@ -200,6 +205,13 @@ def point_q(e: Economy) -> RatioPoint:
     return RatioPoint(float(db / da), float(db / de * r), r)
 
 
+def r_thresholds(theta_share) -> tuple:
+    """Abscissas S'(R_L1), S'(R_L2) = theta_Kj/theta_Tj of the R points, the
+    S' thresholds between the quadrant-IV subregions."""
+    th = theta_share
+    return float(th[K, 0] / th[T, 0]), float(th[K, 1] / th[T, 1])
+
+
 def points_r(e: Economy) -> tuple:
     """Boundary points R_L1 and R_L2 delimiting the quadrant-IV subregions.
 
@@ -210,10 +222,9 @@ def points_r(e: Economy) -> tuple:
     th = e.theta_share
     r = e.theta_L_over_K
     pts = []
-    for j in range(2):
-        s = th[K, j] / th[T, j]
+    for j, s in enumerate(r_thresholds(th)):
         u = -th[K, j] / (1.0 - th[L, j]) * r
-        pts.append(RatioPoint(float(s), float(u), r))
+        pts.append(RatioPoint(s, float(u), r))
     return tuple(pts)
 
 

@@ -82,10 +82,7 @@ class Economy:
         sigma[j, i, i] = -(1 - theta_share[i, j]) / theta_share[i, j].
         """
         theta_share = np.asarray(theta_share, dtype=float)
-        sigma = np.ones((2, 3, 3))
-        for j in range(2):
-            for i in range(3):
-                sigma[j, i, i] = -(1.0 - theta_share[i, j]) / theta_share[i, j]
+        sigma = _fill_aes_diagonal(np.ones((2, 3, 3)), theta_share.T)
         return cls.from_shares(theta_share, theta_good, sigma)
 
     @classmethod
@@ -194,10 +191,10 @@ def validate_economy(e: Economy, check_ranking: bool = False,
 
     if np.any(th <= 0) or np.any(th >= 1):
         rep.add("share-range", "distributive shares must lie in (0,1)",
-                float(max(np.max(-th), np.max(th - 1), 0)))
+                float(max(0.0, np.max(-th), np.max(th - 1))))
     if np.any(la <= 0) or np.any(la >= 1):
         rep.add("share-range", "allocation shares must lie in (0,1)",
-                float(max(np.max(-la), np.max(la - 1), 0)))
+                float(max(0.0, np.max(-la), np.max(la - 1))))
 
     for j in range(2):
         r = np.abs(sg[j] - sg[j].T).max()

@@ -431,7 +431,7 @@ def appendix_f_sweep(e: Economy, outer_aes, inner_grid) -> list:
         sigma = np.empty((2, 3, 3))
         for j in range(2):
             c_j = outer_aes[j]
-            m = np.full((3, 3), c_j)
+            m = np.full((3, 3), c_j, dtype=float)
             m[T, K] = m[K, T] = sig_kt
             sigma[j] = _fill_aes_diagonal(m, e.theta_share[:, j])
         econ = Economy(e.theta_share, e.lambda_share, e.theta_good,

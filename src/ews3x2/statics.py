@@ -8,11 +8,11 @@ the ranking and sign-pattern lemmas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousSign, DegenerateShares, SingularSystem
+from .errors import AmbiguousSign, SingularSystem
 from .model import Economy, K, L, T, epsilon, ews_matrix
 
 #: ties in rankings / sign decisions below this are "ties", not strict signs
@@ -240,50 +240,6 @@ def stolper_samuelson(e: Economy, P: float, time_reversal: bool = False) -> Resp
 
 
 @dataclass(frozen=True)
-class XyzLines:
-    """Lines X(Z) and Y(Z) implied by the two zero-profit conditions.
-
-    X = intercept_x + slope_x * Z and Y = intercept_y + slope_y * Z, with
-    determinants (d1, d2, d3) all positive under the intensity ranking and
-    slope_x < slope_y under the middle-factor condition.
-    """
-
-    d1: float
-    d2: float
-    d3: float
-    slope_x: float
-    intercept_x: float
-    slope_y: float
-    intercept_y: float
-    z_cross_x: float  # Z value where X = Z
-    z_cross_y: float  # Z value where Y = Z
-
-    def x_at(self, z: float) -> float:
-        return self.intercept_x + self.slope_x * z
-
-    def y_at(self, z: float) -> float:
-        return self.intercept_y + self.slope_y * z
-
-
-def lines_xyz(e: Economy, P: float) -> XyzLines:
-    """Solve the 2x2 zero-profit block for X and Y as functions of Z."""
-    th = e.theta_share
-    d1 = th[T, 0] * th[K, 1] - th[K, 0] * th[T, 1]
-    d2 = th[K, 1] * th[L, 0] - th[K, 0] * th[L, 1]
-    d3 = th[T, 0] * th[L, 1] - th[T, 1] * th[L, 0]
-    if abs(d1) < 1e-12:
-        raise DegenerateShares(f"share determinant d1 = {d1:.3e} vanishes")
-    slope_x, intercept_x = -d2 / d1, th[K, 0] * P / d1
-    slope_y, intercept_y = -d3 / d1, -th[T, 0] * P / d1
-    z_cross_y = -th[T, 0] / (th[T, 0] - th[T, 1]) * P
-    z_cross_x = -th[K, 0] / (th[K, 0] - th[K, 1]) * P
-    return XyzLines(float(d1), float(d2), float(d3),
-                    float(slope_x), float(intercept_x),
-                    float(slope_y), float(intercept_y),
-                    float(z_cross_x), float(z_cross_y))
-
-
-@dataclass(frozen=True)
 class Lemma2Diagnostics:
     aggregate_label: str
     sector_labels: tuple
@@ -323,14 +279,12 @@ def h_checks(e: Economy, r: Response) -> HChecks:
     """Evaluate the negativity diagnostics and their internal consistency.
 
     H[j] = sum_i w_i* a_ij* theta_ij (negative for any genuine factor-price
-    perturbation), H0 the income-share aggregate, and three eliminations of
-    H0 that must agree exactly.
+    perturbation) and H0 the income-share aggregate, both as solve_linear
+    computed them, and three eliminations of H0 that must agree exactly.
     """
     w, a0, tf = r.w_star, r.a0_prime, e.theta_factor
-    H = np.einsum("i,ij,ij->j", w, r.a_star, e.theta_share)
-    H0 = float(w @ (a0 * tf))
     d10 = abs(float(a0 @ tf))
     dec_l = (w[T] - w[L]) * a0[T] * tf[T] + (w[K] - w[L]) * a0[K] * tf[K]
     dec_k = (w[T] - w[K]) * a0[T] * tf[T] + (w[L] - w[K]) * a0[L] * tf[L]
     dec_t = (w[K] - w[T]) * a0[K] * tf[K] + (w[L] - w[T]) * a0[L] * tf[L]
-    return HChecks(H, H0, d10, (float(dec_l), float(dec_k), float(dec_t)))
+    return HChecks(r.H, r.H0, d10, (float(dec_l), float(dec_k), float(dec_t)))

@@ -238,6 +238,11 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     assert main(["--out", str(out2), "sweep", "--seed", "9", "--count", "20"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert '"violations": 0' in capsys.readouterr().out
+    # rows computed in a process pool come out byte-identical too
+    out3 = tmp_path / "c.csv"
+    assert main(["--out", str(out3), "sweep", "--seed", "9", "--count", "20",
+                 "--jobs", "2"]) == 0
+    assert out3.read_bytes() == out1.read_bytes()
     with open(out1) as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "row"

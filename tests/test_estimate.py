@@ -11,7 +11,7 @@ from ews3x2.model import K, L, T
 from ews3x2.statics import Shock
 
 from conftest import crafted_case_observations, crafted_observation, \
-    near_boundary_economy
+    mixed_pool, near_boundary_economy
 
 
 @pytest.fixture(scope="module")
@@ -90,27 +90,42 @@ def test_preprocess_time_reversal(obs0):
 
 
 def test_preprocess_unsupported_ranking():
-    th = np.array([[0.4, 0.4], [0.3, 0.3], [0.3, 0.3]])  # all ratios tied
-    obs = Observation(theta_share=th, theta_good=[0.5, 0.5],
-                      p_star=[1.0, 0.0], w_star=[1.0, 0.0, 0.5],
-                      a0_prime=[-0.1, 0.2, -0.1])
-    with pytest.raises(m.UnsupportedRanking):
-        preprocess(obs)
+    for th in (
+        [[0.4, 0.4], [0.3, 0.3], [0.3, 0.3]],  # all ratios tied
+        # strict ratios 3 > 0.6 > 1/3, but the middle factor has
+        # theta_L1 < theta_L2
+        [[0.6, 0.2], [0.1, 0.3], [0.3, 0.5]],
+    ):
+        obs = Observation(theta_share=th, theta_good=[0.5, 0.5],
+                          p_star=[1.0, 0.0], w_star=[1.0, 0.0, 0.5],
+                          a0_prime=[-0.1, 0.2, -0.1])
+        with pytest.raises(m.UnsupportedRanking):
+            preprocess(obs)
 
 
 # ---------------------------------------------------------------------------
 # Endpoints from data match the model-side segment
 
 
-def test_points_match_segment_endpoints(e0, obs0):
-    resp = m.solve_linear(e0, Shock.price(1.0))
-    line = m.vector_line(resp, e0)
-    seg = m.segment_ab(line, resp, e0)
-    pa, pb = point_a(obs0), point_b(obs0)
-    assert pa.s == pytest.approx(seg.point_a.s, abs=1e-8)
-    assert pa.u == pytest.approx(seg.point_a.u, abs=1e-8)
-    assert pb.s == pytest.approx(seg.point_b.s, abs=1e-8)
-    assert pb.u == pytest.approx(seg.point_b.u, abs=1e-8)
+def test_points_match_segment_endpoints(e0):
+    # both routes evaluate one closed form, so on the same shares and rates
+    # they agree exactly; each sampled economy is rebuilt from its shares so
+    # that its theta_factor and lambda_share are the ones an observation
+    # derives from them
+    checked = 0
+    for e in [e0] + mixed_pool(2024, 200):
+        e = m.Economy.from_shares(e.theta_share, e.theta_good, e.sigma)
+        resp = m.solve_linear(e, Shock.price(1.0))
+        try:
+            seg = m.segment_ab(m.vector_line(resp, e), resp, e)
+        except m.Ews3x2Error:
+            continue
+        obs = m.observation_from_response(e, resp)
+        assert np.array_equal(obs.a0_prime, resp.a0_prime)
+        assert point_a(obs) == seg.point_a
+        assert point_b(obs) == seg.point_b
+        checked += 1
+    assert checked > 190
 
 
 def test_point_a_degenerate():

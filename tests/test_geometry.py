@@ -76,7 +76,6 @@ def test_ratio_point_lies_on_vector_line(e0, e0_line_segment):
     _, line, _ = e0_line_segment
     pt = m.ews_ratio_vector(m.ews_matrix(e0))
     assert line.u_at(pt.s) == pytest.approx(pt.u, abs=1e-10)
-    assert line.g0 > 0
 
 
 def test_e0_segment_endpoint_values(e0_line_segment):
@@ -135,7 +134,7 @@ def test_degenerate_shock_raises(e0):
 def test_tangent_line_raises():
     # a horizontal line (a1 = 0) cannot cut the hyperbola twice
     with pytest.raises(m.TangentOrComplexRoots):
-        line_boundary_intersections(m.VectorLine(0.0, 1.0, 1.0), R0)
+        line_boundary_intersections(m.VectorLine(0.0, 1.0), R0)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ def test_validation_reports_all_violations_at_once():
     assert len(rep.violations) > 2  # column sum, diagonals, row sums ...
     assert "share-column-sum" in rep.codes()
     assert "aes-diagonal-sign" in rep.codes()
+    # a share exactly at 0 lies outside (0, 1) by a distance of +0, not -0
+    th = np.array([[0.0, 0.2], [0.55, 0.5], [0.45, 0.3]])
+    rep = m.validate_economy(m.Economy.from_shares(th, [0.5, 0.5], sigma))
+    ranges = [v for v in rep.violations if v.code == "share-range"]
+    assert len(ranges) == 2  # distributive and allocation shares
+    assert all(v.magnitude == 0.0 and not np.signbit(v.magnitude)
+               for v in ranges)
+    assert "magnitude 0.000e+00" in str(rep) and "-0.000e+00" not in str(rep)
 
 
 # ---------------------------------------------------------------------------

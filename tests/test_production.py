@@ -465,3 +465,12 @@ def test_sweep_holds_s_fixed_and_moves_u(e0):
     assert s_vals.std() < 1e-9
     assert u_vals.min() < 0 < u_vals.max()  # sign of U' flips along the grid
     assert np.all(np.diff(u_vals) > 0)      # monotone in the inner elasticity
+
+
+def test_sweep_integer_outer_aes_is_not_truncated(e0):
+    # integer outer elasticities must not round the inner one written next
+    # to them
+    grid = [0.5, -0.7]
+    rows = m.appendix_f_sweep(e0, outer_aes=(2, 1), inner_grid=grid)
+    assert rows == m.appendix_f_sweep(e0, outer_aes=(2.0, 1.0), inner_grid=grid)
+    assert rows[0]["g_KT"] != 0.0

@@ -174,18 +174,6 @@ def test_lemma2_dead_band_raises(e0, r0):
         m.lemma2_diagnostics(flat)
 
 
-def test_e0_xyz_lines(e0, r0):
-    lines = m.lines_xyz(e0, 1.0)
-    assert lines.d1 > 0 and lines.d2 > 0 and lines.d3 > 0
-    assert lines.slope_x < lines.slope_y
-    # the solved response lies on both lines
-    x, y, z = r0.xyz[T], r0.xyz[K], r0.xyz[L]
-    assert lines.x_at(z) == pytest.approx(x, abs=1e-10)
-    assert lines.y_at(z) == pytest.approx(y, abs=1e-10)
-    assert lines.z_cross_x == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert lines.z_cross_y == pytest.approx(-1.8, abs=1e-9)
-
-
 def test_stolper_samuelson_negative_p(e0):
     with pytest.raises(ValueError):
         m.stolper_samuelson(e0, -1.0)
