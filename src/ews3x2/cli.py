@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate as est
-from . import geometry, model, production, statics
+from . import geometry, model, production, statics, tolerances
 from .errors import Ews3x2Error
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _load_valid_economy(args) -> model.Economy:
     """Parse `args.economy` for a compute command; a structurally invalid
     economy (ranking not required) exits 1 listing every violation."""
     e = _load_economy(args.economy)
-    rep = model.validate_economy(e, tol=args.tolerance or model.STRUCT_TOL)
+    rep = model.validate_economy(e, tol=args.tolerance or tolerances.STRUCT_TOL)
     if not rep.ok:
         print(f"error: invalid economy {args.economy}:\n{rep}", file=sys.stderr)
         raise SystemExit(EXIT_MODEL)
@@ -135,7 +135,7 @@ def _emit(payload: dict, args):
 def cmd_validate(args) -> int:
     e = _load_economy(args.economy, finite=False)
     rep = model.validate_economy(e, check_ranking=args.ranking,
-                                 tol=args.tolerance or model.STRUCT_TOL)
+                                 tol=args.tolerance or tolerances.STRUCT_TOL)
     print(rep)
     _emit(rep.to_dict(), args)
     return EXIT_OK if rep.ok else EXIT_MODEL
@@ -160,11 +160,7 @@ def cmd_ews(args) -> int:
 def cmd_classify(args) -> int:
     e = _load_valid_economy(args)
     g = model.ews_matrix(e)
-    try:
-        p = model.ews_ratio_vector(g)
-    except Ews3x2Error as exc:
-        print(f"error: ratio vector undefined: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    p = model.ews_ratio_vector(g)
     quad, triple = geometry.quadrant(p)
     label = geometry.classify_subregion(p, e)
     payload = {
@@ -186,22 +182,14 @@ def cmd_solve(args) -> int:
         shock = statics.Shock.from_dict(d)
     except (KeyError, ValueError, TypeError) as exc:
         return _fail_io(f"malformed shock document {args.shock}: {exc}")
-    try:
-        r = statics.solve_linear(e, shock)
-    except Ews3x2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    r = statics.solve_linear(e, shock)
     _emit(r.to_dict(), args)
     return EXIT_OK
 
 
 def cmd_rybczynski(args) -> int:
     e = _load_valid_economy(args)
-    try:
-        values, signs = statics.rybczynski_matrix(e)
-    except Ews3x2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    values, signs = statics.rybczynski_matrix(e)
     payload = {"values": values.tolist(), "signs": signs.tolist()}
     try:
         p = model.ews_ratio_vector(model.ews_matrix(e))
@@ -220,11 +208,7 @@ def cmd_rybczynski(args) -> int:
 
 def cmd_estimate(args) -> int:
     obs = _load_observation(args.observation)
-    try:
-        rep = est.run_pipeline(obs, time_reversal=args.time_reversal)
-    except Ews3x2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    rep = est.run_pipeline(obs, time_reversal=args.time_reversal)
     _emit(rep.to_dict(), args)
     if args.svg:
         _write_estimate_svg(obs, rep, args.svg)
@@ -286,7 +270,6 @@ def _sweep_row(row_idx: int, seed: int, constraint: str) -> list:
 def cmd_sweep(args) -> int:
     if args.seed is None:
         return _fail_io("--seed is mandatory for sweep (reproducibility)")
-    rows = []
     seeds = [args.seed + k for k in range(args.count)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -301,10 +284,13 @@ def cmd_sweep(args) -> int:
                 for k, s in zip(range(args.count), seeds)]
 
     out_path = Path(args.out) if args.out else _out_dir(args) / "sweep.csv"
-    with open(out_path, "w", newline="") as fh:
+    # in place: ext4 writes back a file truncated to zero on close; a rerun waits
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(SWEEP_HEADER)
         w.writerows(rows)
+        if out_path.is_file():  # a device or pipe has no length to cut
+            fh.truncate()
 
     quad_counts, rank_counts, failures = {}, {}, 0
     for r in rows:
@@ -328,11 +314,7 @@ def cmd_plot(args) -> int:
     e = _load_valid_economy(args)
     r = e.theta_L_over_K
     g = model.ews_matrix(e)
-    try:
-        p = model.ews_ratio_vector(g)
-    except Ews3x2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    p = model.ews_ratio_vector(g)
     extra = [p]
     q = rl1 = rl2 = seg = None
     try:
@@ -429,6 +411,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
+    except Ews3x2Error as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MODEL
 
 
 if __name__ == "__main__":

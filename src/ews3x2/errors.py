@@ -58,4 +58,4 @@ class UnsupportedRanking(Ews3x2Error):
 
 
 class ZeroP(Ews3x2Error):
-    """Relative goods-price change is zero; the estimation method needs |P| > 0."""
+    """Relative goods-price change inside the dead band; estimation needs |P| > 0."""

@@ -10,6 +10,7 @@ band: measured rates inside the band yield "ambiguous", never a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,11 +19,7 @@ from .geometry import (RYBCZYNSKI_PATTERNS, SubregionLabel, endpoint_a,
                        endpoint_b, quadrant, r_thresholds)
 from .model import FACTORS, K, L, RatioPoint, T, intensity_ranked
 from .statics import ranking_label, sign_label
-
-#: relative dead band for sign decisions on measured rates
-DEAD_BAND = 1e-10
-#: residual tolerance for measured-data consistency (looser than internal)
-DATA_TOL = 1e-6
+from .tolerances import DATA_TOL, DEAD_BAND, SCALE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class Observation:
         else:
             raise DegenerateObservation("need a_star or a0_prime")
 
-    @property
+    @cached_property
     def theta_factor(self) -> np.ndarray:
         return self.theta_share @ self.theta_good
 
@@ -72,12 +69,11 @@ class Observation:
     def xyz(self) -> np.ndarray:
         return self.w_star - self.p_star[0]
 
+    @cached_property
     def rate_scale(self) -> float:
-        vals = [np.max(np.abs(self.p_star)), np.max(np.abs(self.w_star))]
-        if self.a_star is not None:
-            vals.append(np.max(np.abs(self.a_star)))
-        vals.append(np.max(np.abs(self.a0_prime)))
-        return max(float(max(vals)), 1e-300)
+        a = () if self.a_star is None else self.a_star
+        rates = (self.p_star, self.w_star, self.a0_prime, a)
+        return _scale(np.concatenate(rates, axis=None))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Observation":
@@ -105,9 +101,13 @@ def observation_from_response(e, resp) -> Observation:
                        a_star=resp.a_star)
 
 
-def _signed(value: float, scale: float, dead_band: float = DEAD_BAND) -> int:
-    """Sign with a relative dead band; 0 means 'ambiguous'."""
-    if abs(value) < dead_band * scale:
+def _scale(x) -> float:
+    return max(float(np.max(np.abs(x))), SCALE_FLOOR)
+
+
+def _signed(value: float, scale: float) -> int:
+    """Sign with the relative dead band DEAD_BAND; 0 means 'ambiguous'."""
+    if abs(value) < DEAD_BAND * scale:
         return 0
     return 1 if value > 0 else -1
 
@@ -141,7 +141,7 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     p2 = obs.p_star.copy()
 
     P = float(p2[0] - p2[1])
-    if abs(P) < 1e-12:
+    if _signed(P, obs.rate_scale) == 0:
         raise ZeroP("relative goods-price change is zero; nothing to estimate")
     flipped = False
     if P < 0 and time_reversal:
@@ -157,7 +157,7 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
 def point_a(obs: Observation) -> RatioPoint:
     """Segment endpoint A from the factor-price changes alone."""
     w = obs.w_star
-    scale = max(float(np.max(np.abs(w))), 1e-300)
+    scale = _scale(w)
     if _signed(w[K] - w[L], scale) == 0 or _signed(w[K] - w[T], scale) == 0:
         raise DegenerateObservation("W_KL or W_KT inside the dead band; point A undefined")
     return endpoint_a(w, obs.theta_factor)
@@ -166,7 +166,7 @@ def point_a(obs: Observation) -> RatioPoint:
 def point_b(obs: Observation) -> RatioPoint:
     """Segment endpoint B from the aggregate input-coefficient changes."""
     a0 = obs.a0_prime
-    scale = max(float(np.max(np.abs(a0))), 1e-300)
+    scale = _scale(a0)
     if _signed(a0[T], scale) == 0 or _signed(a0[L], scale) == 0:
         raise DegenerateObservation("a_T0' or a_L0' inside the dead band; point B undefined")
     return endpoint_b(a0, obs.theta_factor)
@@ -195,7 +195,7 @@ def theorem1_verdict(obs: Observation) -> Theorem1Verdict:
     in quadrant IV, A left of B, and the ratio vector is bracketed by them.
     """
     failed = []
-    scale = obs.rate_scale()
+    scale = obs.rate_scale
     if _signed(obs.P, scale) <= 0:
         failed.append("relative price change P > 0")
     ranking = ranking_label(obs.xyz, tol=DEAD_BAND * scale)
@@ -249,7 +249,7 @@ def corollary1_subregion(obs: Observation, t1v: Theorem1Verdict) -> CorollaryRes
         return CorollaryResult("not-quadrant-IV", None, None, {}, ())
     w = obs.w_star
     p = obs.p_star
-    scale = obs.rate_scale()
+    scale = obs.rate_scale
     t_1, t_2 = r_thresholds(obs.theta_share)  # S'(R_L1), S'(R_L2)
     s_a = t1v.point_a.s
     s_b = t1v.point_b.s
@@ -307,7 +307,7 @@ def consistency_checks(obs: Observation) -> dict:
     inconsistent with the 3x2 model assumptions.
     """
     failures = []
-    scale = obs.rate_scale()
+    scale = obs.rate_scale
     out = {}
 
     d10 = abs(float(obs.a0_prime @ obs.theta_factor))

@@ -13,11 +13,8 @@ from .errors import (AsymptoteHit, DegenerateShares, DegenerateShock,
                      TangentOrComplexRoots, UnmappedRegion)
 from .model import Economy, K, L, RatioPoint, T
 from .statics import Response
-
-#: points closer than this to a subregion border line are labeled Boundary
-BORDER_TOL = 1e-9
-#: quadratic discriminants below this mean tangency / missing intersections
-DISCRIMINANT_TOL = 1e-14
+from .tolerances import (BORDER_TOL, CHORD_TOL, DISCRIMINANT_TOL, SLOPE_TOL,
+                         ZERO_TOL)
 
 
 def boundary_u(s: float, theta_L_over_K: float) -> float:
@@ -26,20 +23,19 @@ def boundary_u(s: float, theta_L_over_K: float) -> float:
     U' = -(theta_L/theta_K) * S'/(S'+1): passes through the origin, vertical
     asymptote S' = -1, horizontal asymptote U' = -theta_L/theta_K.
     """
-    if abs(s + 1.0) < 1e-12:
+    if abs(s + 1.0) < ZERO_TOL:
         raise AsymptoteHit(f"boundary evaluated at S' = {s} (asymptote S' = -1)")
     return -theta_L_over_K * s / (s + 1.0)
 
 
-def region_contains(p: RatioPoint, sign_g_LT: int | None = None) -> bool:
+def region_contains(p: RatioPoint) -> bool:
     """Strict feasible-region test for a ratio point.
 
-    The admissible side of the boundary flips with the sign of g_LT:
-    above the curve for g_LT > 0, below it for g_LT < 0.
+    The admissible side of the boundary flips with the sign of g_LT the
+    point carries: above the curve for g_LT > 0, below it for g_LT < 0.
     """
-    sign = p.g_LT_sign if sign_g_LT is None else sign_g_LT
     b = boundary_u(p.s, p.theta_L_over_K)
-    return p.u > b if sign > 0 else p.u < b
+    return p.u > b if p.g_LT_sign > 0 else p.u < b
 
 
 class Quadrant(enum.Enum):
@@ -90,7 +86,7 @@ def vector_line(resp: Response, e: Economy) -> VectorLine:
     """
     a0 = resp.a0_prime
     W = resp.W
-    if abs(W[K, T]) < 1e-12 or abs(a0[L]) < 1e-12:
+    if abs(W[K, T]) < ZERO_TOL or abs(a0[L]) < ZERO_TOL:
         raise DegenerateShock(
             "uniform factor-price change or vanishing a_L0'; vector line undefined")
     tf = e.theta_factor
@@ -107,7 +103,7 @@ def line_boundary_intersections(line: VectorLine, theta_L_over_K: float) -> tupl
     """
     r = theta_L_over_K
     qa, qb, qc = line.a1, -(line.b1 - line.a1 + r), -line.b1
-    if abs(qa) < 1e-15:
+    if abs(qa) < SLOPE_TOL:
         raise TangentOrComplexRoots("vector line is horizontal; single intersection")
     disc = qb * qb - 4.0 * qa * qc
     if disc < DISCRIMINANT_TOL:
@@ -141,7 +137,7 @@ class SegmentAB:
         lo, hi = sorted((self.point_a.s, self.point_b.s))
         return lo, hi
 
-    def contains(self, p: RatioPoint, tol: float = 1e-8) -> bool:
+    def contains(self, p: RatioPoint) -> bool:
         """Whether `p` is on the Euclidean chord: on the line, with S' in
         the interval between A and B.
 
@@ -150,10 +146,10 @@ class SegmentAB:
         """
         lo, hi = self.s_interval()
         width = max(hi - lo, 1.0)
-        if not (lo - tol * width <= p.s <= hi + tol * width):
+        if not (lo - CHORD_TOL * width <= p.s <= hi + CHORD_TOL * width):
             return False
         scale = max(1.0, abs(p.u))
-        return abs(p.u - self.line.u_at(p.s)) <= tol * scale
+        return abs(p.u - self.line.u_at(p.s)) <= CHORD_TOL * scale
 
 
 def endpoint_a(w_star, theta_factor) -> RatioPoint:
@@ -181,7 +177,7 @@ def segment_ab(line: VectorLine, resp: Response, e: Economy) -> SegmentAB:
     W, a0 = resp.W, resp.a0_prime
     for name, v in (("W_KL", W[K, L]), ("W_KT", W[K, T]),
                     ("a_T0'", a0[T]), ("a_L0'", a0[L])):
-        if abs(v) < 1e-12:
+        if abs(v) < ZERO_TOL:
             raise DegenerateShock(f"{name} = {v:.3e}; segment endpoints undefined")
     roots = line_boundary_intersections(line, e.theta_L_over_K)
     return SegmentAB(endpoint_a(resp.w_star, e.theta_factor),
@@ -198,7 +194,7 @@ def point_q(e: Economy) -> RatioPoint:
     da = th[T, 0] - th[T, 1]
     db = th[K, 0] - th[K, 1]
     de = th[L, 0] - th[L, 1]
-    if abs(da) < 1e-12 or abs(de) < 1e-12:
+    if abs(da) < ZERO_TOL or abs(de) < ZERO_TOL:
         raise DegenerateShares(
             f"share differences (A, E) = ({da:.3e}, {de:.3e}) vanish; Q undefined")
     r = e.theta_L_over_K
@@ -257,8 +253,7 @@ def _border_distance(q: RatioPoint, r: RatioPoint, p) -> float:
     return abs(_line_side(q, r, p)) / math.hypot(r.s - q.s, r.u - q.u)
 
 
-def classify_subregion(p: RatioPoint, e: Economy,
-                       border_tol: float = BORDER_TOL) -> SubregionLabel:
+def classify_subregion(p: RatioPoint, e: Economy) -> SubregionLabel:
     """Quadrant-IV subregion of a ratio point (P1/P2/P3), or its quadrant.
 
     The two border lines run through Q and R_L2 (P1/P2 border) and through Q
@@ -273,8 +268,8 @@ def classify_subregion(p: RatioPoint, e: Economy,
     r_l1, r_l2 = points_r(e)
     r = e.theta_L_over_K
 
-    if (_border_distance(q, r_l2, p) < border_tol
-            or _border_distance(q, r_l1, p) < border_tol):
+    if (_border_distance(q, r_l2, p) < BORDER_TOL
+            or _border_distance(q, r_l1, p) < BORDER_TOL):
         return SubregionLabel.BOUNDARY
 
     # calibration points on the boundary curve just beyond each threshold

@@ -12,15 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDenominator, ExhaustedRejection
+from .tolerances import CONCAVITY_TOL, STRUCT_TOL, ZERO_TOL
 
 FACTORS = ("T", "K", "L")
 SECTORS = ("1", "2")
 T, K, L = 0, 1, 2
-
-#: tolerance on structural residuals of user-supplied data
-STRUCT_TOL = 1e-9
-#: tolerance on algebraic identities evaluated in double precision
-IDENT_TOL = 1e-12
 
 
 def _readonly(a) -> np.ndarray:
@@ -335,7 +331,7 @@ class RatioPoint:
 
 def ews_ratio_vector(g: EwsMatrix) -> RatioPoint:
     """(S', U') = (g_LK/g_LT, g_KT/g_LT)."""
-    if abs(g.g_LT) < 1e-12:
+    if abs(g.g_LT) < ZERO_TOL:
         raise DegenerateDenominator(
             f"g_LT = {g.g_LT:.3e}; the EWS-ratio vector is undefined")
     return RatioPoint(g.g_LK / g.g_LT, g.g_KT / g.g_LT,
@@ -435,7 +431,7 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
             # function is negative semidefinite (one zero eigenvalue from
             # homogeneity, the rest strictly negative)
             weighted = tth[:, None] * s * tth[None, :]
-            if np.linalg.eigvalsh(weighted)[-1] > 1e-10:
+            if np.linalg.eigvalsh(weighted)[-1] > CONCAVITY_TOL:
                 concave = False
                 break
             sigma[j] = s

@@ -19,6 +19,7 @@ from .geometry import quadrant
 from .model import (Economy, K, L, T, _draw_shares, _fill_aes_diagonal,
                     ews_matrix, ews_ratio_vector, validate_economy)
 from .statics import solve_partial_pivot
+from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL
 
 
 @dataclass(frozen=True)
@@ -155,19 +156,6 @@ def _shares(w, a):
     return a * w / np.vecdot(a, w, keepdims=True)
 
 
-def spec_from_dict(d: dict):
-    form = d["form"]
-    if form == "cobb_douglas":
-        return CobbDouglas(d["alpha"], d.get("scale", 1.0))
-    if form == "ces":
-        return Ces(d["delta"], d["s"], d.get("scale", 1.0))
-    if form == "two_level_ces":
-        return TwoLevelCes(d["mu"], d["nu"], d["s_in"], d["s_out"],
-                           d.get("scale", 1.0),
-                           tuple(d.get("nest", (T, K))))
-    raise ValueError(f"unknown production form {form!r}")
-
-
 def calibrated_spec(family: str, theta_col, **kw):
     """Spec whose input-output coefficients at w = (1,1,1) equal theta_col.
 
@@ -238,15 +226,15 @@ def _jacobian(specs, w, X, a, c):
     return jac
 
 
-def _newton(specs, p, V, w0, x0, tol: float = 1e-12, max_iter: int = 100):
+def _newton(specs, p, V, w0, x0):
     """Damped Newton solve of {zero profit x2, full employment x3} at prices
     p for endowment vectors V (..., 3), every member from the start (w0, x0).
 
     Unknowns are (w_T, w_K, w_L, X_1, X_2). Steps are clipped to 50% of any
     coordinate to preserve positivity and halved while the residual does not
     decrease. Each member takes the steps of its own solve: once its relative
-    residual is below `tol` it is frozen, and the line search halves only the
-    members whose residual has not yet fallen. Returns w (..., 3), X (..., 2)
+    residual is below NEWTON_TOL it is frozen, and the line search halves only
+    the members whose residual has not fallen. Returns w (..., 3), X (..., 2)
     and a (..., 3, 2); the first failure met raises for the whole batch.
     """
     scale = np.concatenate([np.broadcast_to(p, V.shape[:-1] + (2,)), V],
@@ -259,8 +247,8 @@ def _newton(specs, p, V, w0, x0, tol: float = 1e-12, max_iter: int = 100):
     z = np.empty(V.shape[:-1] + (5,))
     z[..., :3], z[..., 3:] = w0, x0
     z, f, a, c, norm = evaluate(z)
-    for _ in range(max_iter):
-        live = ~(norm < tol)
+    for _ in range(NEWTON_MAX_ITER):
+        live = ~(norm < NEWTON_TOL)
         if not live.any():
             break
         jac = _jacobian(specs, z[..., :3], z[..., 3:], a, c)
@@ -283,8 +271,8 @@ def _newton(specs, p, V, w0, x0, tol: float = 1e-12, max_iter: int = 100):
             retry &= ~(trial[-1] < norm)
         z, f, a, c, norm = trial
     else:
-        raise NonConvergence(f"no convergence after {max_iter} iterations "
-                             f"(residual {np.max(norm):.3e})")
+        raise NonConvergence(f"no convergence after {NEWTON_MAX_ITER} "
+                             f"iterations (residual {np.max(norm):.3e})")
     X = z[..., 3:]
     bad = (X <= 0).any(axis=-1)
     if bad.any():
@@ -293,16 +281,15 @@ def _newton(specs, p, V, w0, x0, tol: float = 1e-12, max_iter: int = 100):
     return z[..., :3], X, a
 
 
-def solve_equilibrium(specs, p, V, w0=None, x0=None,
-                      tol: float = 1e-12, max_iter: int = 100) -> EquilibriumPoint:
+def solve_equilibrium(specs, p, V, w0=None, x0=None) -> EquilibriumPoint:
     """Damped Newton solve at one endowment vector, from (w0, x0) or the
     unit point: `_newton` with no batch axis. Converges to a relative
-    residual below `tol`.
+    residual below NEWTON_TOL.
     """
     p = np.asarray(p, dtype=float)
     V = np.asarray(V, dtype=float)
     w, X, a = _newton(specs, p, V, 1.0 if w0 is None else w0,
-                      1.0 if x0 is None else x0, tol, max_iter)
+                      1.0 if x0 is None else x0)
     return EquilibriumPoint(w, p, V, X, a, float(p @ X))
 
 

@@ -14,20 +14,17 @@ import numpy as np
 
 from .errors import AmbiguousSign, SingularSystem
 from .model import Economy, K, L, T, epsilon, ews_matrix
-
-#: ties in rankings / sign decisions below this are "ties", not strict signs
-TIE_TOL = 1e-12
+from .tolerances import COND_LIMIT, RESIDUAL_TOL, ZERO_TOL
 
 
-def solve_partial_pivot(a: np.ndarray, b: np.ndarray,
-                        cond_limit: float = 1e12) -> np.ndarray:
+def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve small dense systems by LAPACK LU with partial pivoting (gesv).
 
     a is (..., n, n); b is a stack of vectors (..., n) when it has one
     dimension fewer than a, else of matrices (..., n, k). One factorisation
     per member solves for [b | I], which yields both x and the inverse; if
     any member's 1-norm condition number ||A||_1 ||A^-1||_1 exceeds
-    `cond_limit` or is not finite, SingularSystem is raised.
+    COND_LIMIT or is not finite, SingularSystem is raised.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -43,10 +40,10 @@ def solve_partial_pivot(a: np.ndarray, b: np.ndarray,
     x, inv = sol[..., :k], sol[..., k:]
     cond = (np.abs(a).sum(axis=-2).max(axis=-1)
             * np.abs(inv).sum(axis=-2).max(axis=-1))
-    if not (cond <= cond_limit).all():
+    if not (cond <= COND_LIMIT).all():
         raise SingularSystem(
             f"1-norm condition {np.max(cond):.3e} is not finite or exceeds "
-            f"{cond_limit:.1e}")
+            f"{COND_LIMIT:.1e}")
     return x.reshape(b.shape)
 
 
@@ -97,7 +94,7 @@ _SIGN_LABELS = {
 RANKINGS_UNDER_ASSUMPTIONS = ("X>Y>Z", "X>Z>Y", "Z>X>Y", "Z>Y>X")
 
 
-def ranking_label(xyz, tol: float = TIE_TOL) -> str:
+def ranking_label(xyz, tol: float = ZERO_TOL) -> str:
     """Order the real factor-price changes (X, Y, Z); 'tie' if any pair is within tol."""
     x, y, z = xyz
     if abs(x - y) < tol or abs(x - z) < tol or abs(y - z) < tol:
@@ -107,7 +104,7 @@ def ranking_label(xyz, tol: float = TIE_TOL) -> str:
     return ">".join(names[i] for i in order)
 
 
-def sign_label(triple, dead_band: float = TIE_TOL):
+def sign_label(triple, dead_band: float = ZERO_TOL):
     """Map a sign triple of (a_T0', a_K0', a_L0') to its letter A..F, or None."""
     if any(abs(v) < dead_band for v in triple):
         return None
@@ -171,13 +168,13 @@ def _solve_hat(e: Economy, rhs: np.ndarray) -> np.ndarray:
     """Solve the hat-system for a (5,) or (5, k) right-hand side.
 
     Raises SingularSystem when any column's residual exceeds
-    1e-10 * max(1, |rhs column|).
+    RESIDUAL_TOL * max(1, |rhs column|).
     """
     m = hat_system(e)
     x = solve_partial_pivot(m, rhs)
     resid = np.abs(m @ x - rhs).max(axis=0)
     scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
-    if not np.all(resid <= 1e-10 * scale):
+    if not np.all(resid <= RESIDUAL_TOL * scale):
         raise SingularSystem(
             f"hat-system residual {np.max(resid):.3e} too large")
     return x
@@ -247,18 +244,18 @@ class Lemma2Diagnostics:
     ranking: str
 
 
-def lemma2_diagnostics(r: Response, dead_band: float = TIE_TOL) -> Lemma2Diagnostics:
+def lemma2_diagnostics(r: Response) -> Lemma2Diagnostics:
     """Classify the aggregate and per-sector input-coefficient sign patterns.
 
     Under the realized ranking X>Z>Y only the letters A-D are feasible;
     E or F (or any letter under another ranking's exclusion) marks data
     inconsistent with the model assumptions.
     """
-    if any(abs(v) < dead_band for v in r.a0_prime):
+    if any(abs(v) < ZERO_TOL for v in r.a0_prime):
         raise AmbiguousSign("an aggregate input-coefficient change is inside "
                             "the dead band; sign letter undefined")
-    agg = sign_label(r.a0_prime, dead_band)
-    sector = tuple(sign_label(r.a_star[:, j], dead_band) for j in range(2))
+    agg = sign_label(r.a0_prime)
+    sector = tuple(sign_label(r.a_star[:, j]) for j in range(2))
     feasible = (r.ranking == "X>Z>Y" and agg in ("A", "B", "C", "D"))
     return Lemma2Diagnostics(agg, sector, feasible, r.ranking)
 

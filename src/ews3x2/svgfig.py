@@ -49,8 +49,8 @@ class Figure:
         if series:
             self.coords.extend((series, s, u) for s, u in pts)
 
-    def add_boundary(self, theta_L_over_K: float, n: int = 400):
-        vp = self.viewport
+    def add_boundary(self, theta_L_over_K: float):
+        vp, n = self.viewport, 400  # n + 1 samples per branch
         for lo, hi in ((vp.s_min, -1.0 - 1e-6), (-1.0 + 1e-6, vp.s_max)):
             pts = []
             for k in range(n + 1):
@@ -119,9 +119,9 @@ class Figure:
         return "\n".join(lines) + "\n"
 
 
-def autoscale_viewport(points, theta_L_over_K: float, pad: float = 0.6) -> Viewport:
+def autoscale_viewport(points, theta_L_over_K: float) -> Viewport:
     """Viewport around the unit box, widened to include the given points and
-    the horizontal asymptote."""
+    the horizontal asymptote, plus a margin of 0.6."""
     ss = [0.0, 1.0, -1.0]
     us = [0.0, -theta_L_over_K]
     for p in points:
@@ -131,4 +131,4 @@ def autoscale_viewport(points, theta_L_over_K: float, pad: float = 0.6) -> Viewp
         if math.isfinite(s) and math.isfinite(u) and abs(s) < 50 and abs(u) < 50:
             ss.append(s)
             us.append(u)
-    return Viewport(min(ss) - pad, max(ss) + pad, min(us) - pad, max(us) + pad)
+    return Viewport(min(ss) - 0.6, max(ss) + 0.6, min(us) - 0.6, max(us) + 0.6)

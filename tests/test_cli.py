@@ -176,6 +176,37 @@ def test_invalid_economy_is_not_computed_on(e0, tmp_path, capsys, command):
     assert not (tmp_path / "figure.svg").exists()
 
 
+@pytest.mark.parametrize("command,target,error", [
+    ("solve", "statics.solve_linear", m.SingularSystem),
+    ("rybczynski", "statics.rybczynski_matrix", m.SingularSystem),
+    ("classify", "model.ews_ratio_vector", m.DegenerateDenominator),
+    ("estimate", "est.run_pipeline", m.ZeroP),
+    ("sweep", "production.sample_economy", m.ExhaustedRejection),
+])
+def test_typed_error_exits_1(e0_path, obs_path, tmp_path, capsys, monkeypatch,
+                             command, target, error):
+    # the one library call each command makes raises a typed error, which
+    # main turns into exit 1 and an error line instead of a traceback
+    import ews3x2.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    owner, name = target.split(".")
+    monkeypatch.setattr(getattr(cli, owner), name, fail)
+    shock = tmp_path / "shock.json"
+    shock.write_text(json.dumps(Shock.price(1.0).to_dict()))
+    argv = {"solve": ["solve", e0_path, str(shock)],
+            "rybczynski": ["rybczynski", e0_path],
+            "classify": ["classify", e0_path],
+            "estimate": ["estimate", obs_path],
+            "sweep": ["sweep", "--seed", "1", "--count", "3"]}[command]
+    assert main(["--out-dir", str(tmp_path)] + argv) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: injected failure\n"
+    assert out.out == ""
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -250,6 +281,14 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     for r in rows[1:]:
         assert r[14] in ("X>Y>Z", "X>Z>Y", "Z>X>Y", "Z>Y>X")
         assert r[17] == "True"
+
+
+def test_sweep_overwrites_a_longer_file_exactly(tmp_path):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(["--out", str(reused), "sweep", "--seed", "9", "--count", "20"]) == 0
+    assert main(["--out", str(reused), "sweep", "--seed", "9", "--count", "2"]) == 0
+    assert main(["--out", str(fresh), "sweep", "--seed", "9", "--count", "2"]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
 
 
 def test_sweep_quadrant4_constraint(tmp_path):

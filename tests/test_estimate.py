@@ -76,6 +76,34 @@ def test_preprocess_zero_p(obs0):
         preprocess(flat)
 
 
+def test_verdicts_survive_rescaling_rates_by_1e_13():
+    # ZeroP, like every other dead band, is relative to the observation's
+    # rate scale, so shrinking every rate by 1e-13 changes no verdict
+    rng = np.random.default_rng(41)
+    quad4 = m.SampleConstraints(ranked=True, quadrant="IV")
+    keys = ("quadrant_verdict", "subregion_verdict", "ranking",
+            "a0_sign_label", "rybczynski")
+    for k in range(40):
+        e = m.sample_economy(500 + k, quad4).economy
+        for _ in range(5):
+            shock = Shock(p_star=[1.0, 0.0], v_star=rng.normal(size=3))
+            o = m.observation_from_response(e, m.solve_linear(e, shock))
+            tiny = Observation(theta_share=o.theta_share, theta_good=o.theta_good,
+                               p_star=1e-13 * o.p_star, w_star=1e-13 * o.w_star,
+                               a_star=1e-13 * o.a_star)
+            ref = m.run_pipeline(o).to_dict()
+            got = m.run_pipeline(tiny).to_dict()
+            assert [got[key] for key in keys] == [ref[key] for key in keys]
+            assert (got["diagnostics"]["sector_labels"]
+                    == ref["diagnostics"]["sector_labels"])
+    # an exact zero stays zero at any scale
+    flat = Observation(theta_share=o.theta_share, theta_good=o.theta_good,
+                       p_star=[3e-14, 3e-14], w_star=1e-13 * o.w_star,
+                       a_star=1e-13 * o.a_star)
+    with pytest.raises(m.ZeroP):
+        preprocess(flat)
+
+
 def test_preprocess_time_reversal(obs0):
     rev = Observation(theta_share=obs0.theta_share, theta_good=obs0.theta_good,
                       p_star=-obs0.p_star, w_star=-obs0.w_star,

@@ -45,8 +45,8 @@ def test_region_side_flips_with_g_lt_sign(s, r):
     above = RatioPoint(s, b + 0.1, r, g_LT_sign=1)
     below = RatioPoint(s, b - 0.1, r, g_LT_sign=1)
     assert m.region_contains(above) and not m.region_contains(below)
-    assert not m.region_contains(above, sign_g_LT=-1)
-    assert m.region_contains(below, sign_g_LT=-1)
+    assert not m.region_contains(RatioPoint(s, b + 0.1, r, g_LT_sign=-1))
+    assert m.region_contains(RatioPoint(s, b - 0.1, r, g_LT_sign=-1))
 
 
 def test_quadrant_map():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.model import IDENT_TOL, K, L, T
+from ews3x2.model import K, L, T
+from ews3x2.tolerances import IDENT_TOL
 
 from conftest import E0_THETA_GOOD, E0_THETA_SHARE, mixed_pool
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import ews3x2 as m
 from ews3x2.model import K, L, T
 from ews3x2.production import (CobbDouglas, Ces, TwoLevelCes, SampledEconomy,
-                               _fill_aes_diagonal, _jacobian, _newton, _system,
-                               spec_from_dict)
+                               _fill_aes_diagonal, _jacobian, _newton, _system)
 from ews3x2.statics import Shock
 
 
@@ -186,16 +185,6 @@ def test_two_level_ces_rejects_bad_nest():
                     nest=(T, T))
     with pytest.raises(ValueError):
         Ces([0.4, 0.3, 0.3], s=1.0)
-
-
-def test_spec_round_trip():
-    for spec in SPECS:
-        again = spec_from_dict(spec.to_dict())
-        w = np.array([1.2, 0.9, 1.05])
-        assert again.unit_cost(w)[0] == pytest.approx(spec.unit_cost(w)[0],
-                                                      rel=1e-12)
-    with pytest.raises(ValueError):
-        spec_from_dict({"form": "leontief"})
 
 
 def test_calibrated_spec_hits_target_shares():
