@@ -18,8 +18,8 @@ from .statics import (Response, Shock, h_checks, lemma2_diagnostics,
                       rybczynski_matrix, solve_linear, stolper_samuelson)
 from .production import (CobbDouglas, Ces, EquilibriumPoint, SampleConstraints,
                          TwoLevelCes, appendix_f_sweep, calibrated_spec,
-                         economy_snapshot, fd_rybczynski, sample_economy,
-                         solve_equilibrium)
+                         economy_snapshot, fd_rybczynski, sample_economies,
+                         sample_economy, solve_equilibrium)
 from .estimate import (EstimateReport, Observation, consistency_checks,
                        corollary1_subregion, observation_from_response,
                        point_a, point_b, preprocess, run_pipeline,

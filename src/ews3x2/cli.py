@@ -107,18 +107,26 @@ def _load_observation(path: str) -> est.Observation:
                           [row["aL1_star"], row["aL2_star"]]]
             else:
                 a0 = [row["aT0_prime"], row["aK0_prime"], row["aL0_prime"]]
-            return est.Observation(theta_share=theta_share, theta_good=theta_good,
-                                   p_star=p_star, w_star=w_star,
-                                   a_star=a_star, a0_prime=a0)
+            obs = est.Observation(theta_share=theta_share, theta_good=theta_good,
+                                  p_star=p_star, w_star=w_star,
+                                  a_star=a_star, a0_prime=a0)
         except (OSError, KeyError, ValueError, StopIteration) as exc:
             raise SystemExit(_fail_io(
                 f"malformed observation CSV {path}: {exc} "
                 f"(expected {OBSERVATION_CSV_COLUMNS})"))
-    d = _load_json(path)
-    try:
-        return est.Observation.from_dict(d)
-    except (KeyError, ValueError, TypeError, Ews3x2Error) as exc:
-        raise SystemExit(_fail_io(f"malformed observation document {path}: {exc}"))
+    else:
+        d = _load_json(path)
+        try:
+            obs = est.Observation.from_dict(d)
+        except (KeyError, ValueError, TypeError, Ews3x2Error) as exc:
+            raise SystemExit(_fail_io(
+                f"malformed observation document {path}: {exc}"))
+    arrays = ("theta_share", "theta_good", "p_star", "w_star", "a_star", "a0_prime")
+    bad = [name for name in arrays if getattr(obs, name) is not None
+           and not np.isfinite(getattr(obs, name)).all()]
+    if bad:
+        raise SystemExit(_fail_io(f"non-finite entries in {', '.join(bad)} of {path}"))
+    return obs
 
 
 def _emit(payload: dict, args):
@@ -239,49 +247,71 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(row_idx: int, seed: int, constraint: str) -> list:
+#: most rows computed as one batch: a pending seed holds its generator and
+#: candidate arrays, about 7 kB, so this bounds a sweep's memory
+SWEEP_CHUNK = 128
+
+
+def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
+    """CSV rows first_index, first_index + 1, ... for the seeds, computed as
+    one batch. On a typed error the rows are recomputed one at a time, so
+    the error that surfaces is the first failing row's own."""
     cons = production.SampleConstraints(
         ranked=True, quadrant="IV" if constraint == "quadrant4" else None)
-    sample = production.sample_economy(seed, cons)
-    e = sample.economy
-    g = model.ews_matrix(e)
-    p = model.ews_ratio_vector(g)
-    quad, _ = geometry.quadrant(p)
-    label = geometry.classify_subregion(p, e)
-    resp = statics.stolper_samuelson(e, 1.0)
-    _, signs = statics.rybczynski_matrix(e)
-    agrees = ""
-    ok = resp.ranking in statics.RANKINGS_UNDER_ASSUMPTIONS
-    if label in geometry.RYBCZYNSKI_PATTERNS:
-        agrees = bool(np.array_equal(geometry.rybczynski_pattern(label), signs))
-        ok = ok and agrees
-    th = e.theta_share
-    fams = [s.to_dict()["form"] for s in sample.specs]
-    return [
-        row_idx, seed, fams[0], fams[1],
-        f"{th[0, 0]:.12g}", f"{th[1, 0]:.12g}", f"{th[2, 0]:.12g}",
-        f"{th[0, 1]:.12g}", f"{th[1, 1]:.12g}", f"{th[2, 1]:.12g}",
-        f"{p.s:.12g}", f"{p.u:.12g}", quad.value, label.value, resp.ranking,
-        "".join("+" if v > 0 else "-" for v in signs.flatten()),
-        agrees, ok,
-    ]
+    try:
+        samples = production.sample_economies(seeds, cons)
+        points = []
+        for sample in samples:
+            e = sample.economy
+            p = model.ews_ratio_vector(model.ews_matrix(e))
+            points.append((p, geometry.quadrant(p)[0],
+                           geometry.classify_subregion(p, e)))
+        solved = statics.responses_and_rybczynski(
+            [sample.economy for sample in samples], statics.Shock.price(1.0))
+    except Ews3x2Error:
+        if len(seeds) == 1:
+            raise
+        return [row for k, seed in enumerate(seeds)
+                for row in _sweep_rows(first_index + k, [seed], constraint)]
+    rows = []
+    for k, (sample, (p, quad, label), (resp, (_, signs))) in enumerate(
+            zip(samples, points, solved)):
+        agrees = ""
+        ok = resp.ranking in statics.RANKINGS_UNDER_ASSUMPTIONS
+        if label in geometry.RYBCZYNSKI_PATTERNS:
+            agrees = bool(np.array_equal(geometry.rybczynski_pattern(label), signs))
+            ok = ok and agrees
+        th = sample.economy.theta_share
+        fams = [s.to_dict()["form"] for s in sample.specs]
+        rows.append([
+            first_index + k, seeds[k], fams[0], fams[1],
+            f"{th[0, 0]:.12g}", f"{th[1, 0]:.12g}", f"{th[2, 0]:.12g}",
+            f"{th[0, 1]:.12g}", f"{th[1, 1]:.12g}", f"{th[2, 1]:.12g}",
+            f"{p.s:.12g}", f"{p.u:.12g}", quad.value, label.value, resp.ranking,
+            "".join("+" if v > 0 else "-" for v in signs.flatten()),
+            agrees, ok,
+        ])
+    return rows
 
 
 def cmd_sweep(args) -> int:
     if args.seed is None:
         return _fail_io("--seed is mandatory for sweep (reproducibility)")
     seeds = [args.seed + k for k in range(args.count)]
+    # one chunk at --jobs 1, about four chunks per worker otherwise, and
+    # never more than SWEEP_CHUNK rows
+    size = -(-len(seeds) // (4 * args.jobs)) if args.jobs > 1 else len(seeds)
+    size = max(1, min(size, SWEEP_CHUNK))
+    firsts = range(0, len(seeds), size)
+    chunks = [seeds[f:f + size] for f in firsts]
+    constraints = [args.constraint] * len(chunks)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        # about four chunks per worker; map keeps row order
-        chunk = max(1, -(-args.count // (4 * args.jobs)))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_row, range(args.count), seeds,
-                                 [args.constraint] * args.count,
-                                 chunksize=chunk))
+            parts = list(pool.map(_sweep_rows, firsts, chunks, constraints))
     else:
-        rows = [_sweep_row(k, s, args.constraint)
-                for k, s in zip(range(args.count), seeds)]
+        parts = list(map(_sweep_rows, firsts, chunks, constraints))
+    rows = [row for part in parts for row in part]
 
     out_path = Path(args.out) if args.out else _out_dir(args) / "sweep.csv"
     # in place: ext4 writes back a file truncated to zero on close; a rerun waits
@@ -365,30 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("economy")
     p.add_argument("--ranking", action="store_true",
                    help="also enforce the factor-intensity ranking")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("ews", help="economy-wide substitution matrix")
     p.add_argument("economy")
-    p.set_defaults(func=cmd_ews)
 
     p = sub.add_parser("classify", help="ratio point, quadrant, subregion")
     p.add_argument("economy")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="solve the hat-system for a shock")
     p.add_argument("economy")
     p.add_argument("shock")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("rybczynski", help="output responses to endowments")
     p.add_argument("economy")
-    p.set_defaults(func=cmd_rybczynski)
 
     p = sub.add_parser("estimate", help="run the two-period estimation pipeline")
     p.add_argument("observation", help="Observation JSON or CSV")
     p.add_argument("--time-reversal", action="store_true")
     p.add_argument("--svg", default=None, help="also write a segment figure")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="seeded Monte Carlo sweep with oracle checks")
     p.add_argument("--seed", type=int, default=None)
@@ -396,19 +420,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", choices=["ranked", "quadrant4"],
                    default="ranked")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plot", help="SVG figure of the ratio plane")
     p.add_argument("economy")
     p.add_argument("--csv", default=None, help="also write plotted coordinates")
-    p.set_defaults(func=cmd_plot)
     return ap
 
 
+#: the parser depends on nothing in argv or the environment
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
     except Ews3x2Error as exc:

@@ -312,7 +312,7 @@ def consistency_checks(obs: Observation) -> dict:
 
     d10 = abs(float(obs.a0_prime @ obs.theta_factor))
     out["d10_residual"] = d10
-    if d10 > DATA_TOL * max(scale, 1.0):
+    if d10 > DATA_TOL * scale:
         failures.append("aggregate input-coefficient changes do not "
                         "income-weight to zero")
 
@@ -324,7 +324,7 @@ def consistency_checks(obs: Observation) -> dict:
     if obs.a_star is not None:
         eq5 = np.einsum("ij,ij->j", obs.theta_share, obs.a_star)
         out["zero_profit_residuals"] = [abs(float(v)) for v in eq5]
-        if np.max(np.abs(eq5)) > DATA_TOL * max(scale, 1.0):
+        if np.max(np.abs(eq5)) > DATA_TOL * scale:
             failures.append("per-sector share-weighted a* rows do not sum to zero")
         H = np.einsum("i,ij,ij->j", obs.w_star, obs.a_star, obs.theta_share)
         out["H"] = H.tolist()

@@ -55,15 +55,28 @@ QUADRANT_SIGNS = {
 }
 
 
+#: quadrants off the axes, at 2 * (S' > 0) + (U' > 0); the boundary at -1
+_QUADRANTS = (Quadrant.III, Quadrant.II, Quadrant.IV, Quadrant.I,
+              Quadrant.BOUNDARY)
+
+
+def _quadrant_index(s, u):
+    """Position in `_QUADRANTS` of ratio coordinates (S', U'): floats, or
+    arrays of any shape."""
+    off_axes = (s != 0.0) & (u != 0.0)
+    return (2 * (s > 0) + (u > 0) + 1) * off_axes - 1
+
+
 def quadrant(p: RatioPoint) -> tuple:
     """Quadrant of the ratio point and the EWS sign triple it implies."""
-    if p.s == 0.0 or p.u == 0.0:
-        return Quadrant.BOUNDARY, None
-    if p.s > 0:
-        q = Quadrant.I if p.u > 0 else Quadrant.IV
-    else:
-        q = Quadrant.II if p.u > 0 else Quadrant.III
-    return q, QUADRANT_SIGNS[q]
+    q = _QUADRANTS[_quadrant_index(p.s, p.u)]
+    return q, QUADRANT_SIGNS.get(q)
+
+
+def in_quadrant(s, u, name: str) -> np.ndarray:
+    """Where ratio coordinates (S', U'), over any shape, lie in the quadrant
+    named "I" to "IV"."""
+    return _quadrant_index(s, u) == _QUADRANTS.index(Quadrant(name))
 
 
 @dataclass(frozen=True)

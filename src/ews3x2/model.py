@@ -144,79 +144,110 @@ class ValidationReport:
         }
 
 
+_ARRAYS = ("theta_share", "lambda_share", "theta_good", "theta_factor", "sigma")
+#: where each of `_ARRAYS` starts in their concatenated flat entries
+_ARRAY_STARTS = (0, 6, 12, 14, 17)
+
+
+def _check_table() -> list:
+    """(code, detail) of every structural check, in report order."""
+    table = [("non-finite", f"{name} contains non-finite entries")
+             for name in _ARRAYS]
+    table += [("share-column-sum",
+               f"distributive shares of sector {j} do not sum to 1") for j in SECTORS]
+    table += [("allocation-row-sum",
+               f"allocation shares of factor {i} do not sum to 1") for i in FACTORS]
+    table += [("income-share-sum", "good income shares do not sum to 1"),
+              ("income-share-sum", "factor income shares do not sum to 1"),
+              ("share-link", "lambda_share inconsistent with "
+                             "(theta_good/theta_factor)*theta_share"),
+              ("share-range", "distributive shares must lie in (0,1)"),
+              ("share-range", "allocation shares must lie in (0,1)")]
+    for j in SECTORS:
+        table.append(("aes-symmetry",
+                      f"Allen elasticity matrix of sector {j} is not symmetric"))
+        for i in FACTORS:
+            table += [("aes-diagonal-sign", f"sigma[{j}][{i}][{i}] must be negative"),
+                      ("aes-row-sum", f"share-weighted Allen row ({i}, sector {j}) "
+                                      "does not sum to 0")]
+    return table + [
+        ("intensity-ranking",
+         "theta_T1/theta_T2 > theta_L1/theta_L2 > theta_K1/theta_K2 fails"),
+        ("middle-factor-intensity", "theta_L1 > theta_L2 fails")]
+
+
+#: columns 0-4 non-finite arrays, 5-11 sums to one, 12 share link, 13-14 share
+#: ranges, 15-28 the two sectors' Allen checks, 29-30 the ranking
+_CHECKS = _check_table()
+
+
+def _validity(th, la, tg, tf, sg, check_ranking: bool, tol: float) -> tuple:
+    """Every structural check of economies stacked on a leading axis.
+
+    th, la (N, 3, 2), tg (N, 2), tf (N, 3), sg (N, 2, 3, 3). Returns the
+    per-member ok mask (N,) and the (N, len(_CHECKS)) fail mask and
+    magnitudes, columns in `_CHECKS` order. The ranking columns fail only
+    with `check_ranking`.
+    """
+    n = len(th)
+    flat = np.concatenate([th.reshape(n, 6), la.reshape(n, 6), tg, tf,
+                           sg.reshape(n, 18)], axis=1)
+    shares = flat[:, :12].reshape(n, 2, 6)  # theta_share, lambda_share
+    mag = np.zeros((n, len(_CHECKS)))
+    mag[:, :5] = np.inf
+    # per sector: symmetry, then (diagonal, row sum) of each factor
+    sector = mag[:, 15:29].reshape(n, 2, 7)
+    with np.errstate(all="ignore"):
+        mag[:, 5:7] = th.sum(axis=-2)
+        mag[:, 7:10] = la.sum(axis=-1)
+        mag[:, 10] = tg.sum(axis=-1)
+        mag[:, 11] = tf.sum(axis=-1)
+        mag[:, 5:12] = abs(mag[:, 5:12] - 1.0)
+        link = la - th * tg[:, None, :] / tf[:, :, None]
+        mag[:, 12] = np.abs(link).reshape(n, 6).max(-1)
+        # max(0.0, max(-a), max(a - 1)), with a zero never negative; a share
+        # outside (0, 1) makes the inner maximum non-negative
+        out = np.maximum((-shares).max(-1), (shares - 1).max(-1))
+        mag[:, 13:15] = np.where(out > 0.0, out, 0.0)
+        out_of_range = out >= 0.0
+        sector[..., 0] = np.abs(sg - sg.swapaxes(-1, -2)).reshape(n, 2, 9).max(-1)
+        sector[..., 1::2] = flat[:, 17:].reshape(n, 2, 9)[..., ::4]
+        sector[..., 2::2] = abs(np.vecdot(th.swapaxes(-1, -2)[:, :, None, :], sg))
+        fail = mag > tol
+        finite = np.isfinite(flat)
+        fail[:, :5] = False if finite.all() else ~np.logical_and.reduceat(
+            finite, _ARRAY_STARTS, 1)
+        fail[:, 13:15] = out_of_range
+        fail[:, 15:29].reshape(n, 2, 7)[..., 1::2] = sector[..., 1::2] >= 0
+        fail[:, 29:] = False
+        if check_ranking:
+            r = th[..., 0] / th[..., 1]
+            fail[:, 29] = ~((r[:, T] > r[:, L]) & (r[:, L] > r[:, K]))
+            fail[:, 30] = ~(th[:, L, 0] > th[:, L, 1])
+        if fail[:, 29:].any():
+            # max(r_L - r_T, r_K - r_L): the first unless the second is larger
+            l_minus_t, k_minus_l = r[:, L] - r[:, T], r[:, K] - r[:, L]
+            mag[:, 29] = np.where(k_minus_l > l_minus_t, k_minus_l, l_minus_t)
+            mag[:, 30] = th[:, L, 1] - th[:, L, 0]
+    return ~fail.any(axis=-1), fail, mag
+
+
 def validate_economy(e: Economy, check_ranking: bool = False,
                      tol: float = STRUCT_TOL) -> ValidationReport:
     """Check every structural constraint of the snapshot; report all violations.
 
     Violations are reported, never raised, so a CLI caller can show them all
-    at once. `check_ranking` additionally enforces the factor-intensity
-    ranking (T/K extreme, L middle, L used intensively in sector 1).
+    at once, except that the first non-finite array is reported alone.
+    `check_ranking` additionally enforces the factor-intensity ranking (T/K
+    extreme, L middle, L used intensively in sector 1).
     """
+    _, fails, mags = _validity(*(getattr(e, name)[None] for name in _ARRAYS),
+                               check_ranking, tol)
     rep = ValidationReport()
-    th, la = e.theta_share, e.lambda_share
-    tg, tf, sg = e.theta_good, e.theta_factor, e.sigma
-
-    for arr, name in ((th, "theta_share"), (la, "lambda_share"),
-                      (tg, "theta_good"), (tf, "theta_factor"), (sg, "sigma")):
-        if not np.all(np.isfinite(arr)):
-            rep.add("non-finite", f"{name} contains non-finite entries", np.inf)
-            return rep
-
-    for j in range(2):
-        r = abs(th[:, j].sum() - 1.0)
-        if r > tol:
-            rep.add("share-column-sum",
-                    f"distributive shares of sector {SECTORS[j]} do not sum to 1", r)
-    for i in range(3):
-        r = abs(la[i, :].sum() - 1.0)
-        if r > tol:
-            rep.add("allocation-row-sum",
-                    f"allocation shares of factor {FACTORS[i]} do not sum to 1", r)
-    r = abs(tg.sum() - 1.0)
-    if r > tol:
-        rep.add("income-share-sum", "good income shares do not sum to 1", r)
-    r = abs(tf.sum() - 1.0)
-    if r > tol:
-        rep.add("income-share-sum", "factor income shares do not sum to 1", r)
-
-    link = la - th * tg[None, :] / tf[:, None]
-    r = np.abs(link).max()
-    if r > tol:
-        rep.add("share-link",
-                "lambda_share inconsistent with (theta_good/theta_factor)*theta_share", r)
-
-    if np.any(th <= 0) or np.any(th >= 1):
-        rep.add("share-range", "distributive shares must lie in (0,1)",
-                float(max(0.0, np.max(-th), np.max(th - 1))))
-    if np.any(la <= 0) or np.any(la >= 1):
-        rep.add("share-range", "allocation shares must lie in (0,1)",
-                float(max(0.0, np.max(-la), np.max(la - 1))))
-
-    for j in range(2):
-        r = np.abs(sg[j] - sg[j].T).max()
-        if r > tol:
-            rep.add("aes-symmetry",
-                    f"Allen elasticity matrix of sector {SECTORS[j]} is not symmetric", r)
-        for i in range(3):
-            if sg[j, i, i] >= 0:
-                rep.add("aes-diagonal-sign",
-                        f"sigma[{SECTORS[j]}][{FACTORS[i]}][{FACTORS[i]}] must be negative",
-                        sg[j, i, i])
-            r = abs(float(th[:, j] @ sg[j, i, :]))
-            if r > tol:
-                rep.add("aes-row-sum",
-                        f"share-weighted Allen row ({FACTORS[i]}, sector {SECTORS[j]}) "
-                        "does not sum to 0", r)
-
-    if check_ranking:
-        r_t, r_k, r_l = th[:, 0] / th[:, 1]
-        if not (r_t > r_l > r_k):
-            rep.add("intensity-ranking",
-                    "theta_T1/theta_T2 > theta_L1/theta_L2 > theta_K1/theta_K2 fails",
-                    max(r_l - r_t, r_k - r_l))
-        if not th[L, 0] > th[L, 1]:
-            rep.add("middle-factor-intensity",
-                    "theta_L1 > theta_L2 fails", th[L, 1] - th[L, 0])
+    for c in np.flatnonzero(fails[0]):
+        rep.add(*_CHECKS[c], mags[0, c])
+        if c < len(_ARRAYS):
+            break
     return rep
 
 
@@ -240,7 +271,17 @@ def epsilon(e: Economy) -> np.ndarray:
     eps[j, i, h] = theta_share[h, j] * sigma[j, i, h]; each (i, j) row sums
     to zero because a_ij is homogeneous of degree zero in factor prices.
     """
-    return e.theta_share.T[:, None, :] * e.sigma
+    return _epsilon(e.theta_share, e.sigma)
+
+
+def _epsilon(th, sigma):
+    """`epsilon` over leading axes: th (..., 3, 2), sigma (..., 2, 3, 3)."""
+    return th.swapaxes(-1, -2)[..., :, None, :] * sigma
+
+
+def _ews(la, eps):
+    """EWS matrices (..., 3, 3) from allocations (..., 3, 2) and eps."""
+    return np.einsum("...ij,...jih->...ih", la, eps)
 
 
 @dataclass(frozen=True)
@@ -306,9 +347,7 @@ def ews_matrix(e: Economy) -> EwsMatrix:
     substitution towards factor i when factor h becomes more expensive,
     holding sector outputs constant.
     """
-    eps = epsilon(e)
-    g = np.einsum("ij,jih->ih", e.lambda_share, eps)
-    return EwsMatrix(g, e.theta_factor)
+    return EwsMatrix(_ews(e.lambda_share, epsilon(e)), e.theta_factor)
 
 
 @dataclass(frozen=True)

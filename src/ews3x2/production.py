@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, ExhaustedRejection,
-                     NonConvergence, Specialization)
-from .geometry import quadrant
-from .model import (Economy, K, L, T, _draw_shares, _fill_aes_diagonal,
-                    ews_matrix, ews_ratio_vector, validate_economy)
+from .errors import ExhaustedRejection, NonConvergence, Specialization
+from .geometry import in_quadrant
+from .model import (Economy, K, L, T, _draw_shares, _epsilon, _ews,
+                    _fill_aes_diagonal, _validity, ews_matrix)
 from .statics import solve_partial_pivot
-from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL
+from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL, STRUCT_TOL, ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -293,14 +292,21 @@ def solve_equilibrium(specs, p, V, w0=None, x0=None) -> EquilibriumPoint:
     return EquilibriumPoint(w, p, V, X, a, float(p @ X))
 
 
+def _snapshot_shares(w, p, V, X, a, income) -> tuple:
+    """(theta_share, lambda_share, theta_good, theta_factor) of equilibria
+    over leading axes: w (..., 3), p (..., 2), V (..., 3), X (..., 2),
+    a (..., 3, 2) and income (...)."""
+    income = np.asarray(income)[..., None]
+    return (a * w[..., :, None] / p[..., None, :],
+            a * X[..., None, :] / V[..., :, None],
+            p * X / income, w * V / income)
+
+
 def economy_snapshot(eq: EquilibriumPoint, specs) -> Economy:
     """Share/elasticity snapshot of a converged equilibrium."""
-    theta_share = eq.a * eq.w[:, None] / eq.p[None, :]
-    lambda_share = eq.a * eq.X[None, :] / eq.V[:, None]
-    theta_good = eq.p * eq.X / eq.income
-    theta_factor = eq.w * eq.V / eq.income
     sigma = np.stack([specs[j].aes(eq.w) for j in range(2)])
-    return Economy(theta_share, lambda_share, theta_good, theta_factor, sigma)
+    return Economy(*_snapshot_shares(eq.w, eq.p, eq.V, eq.X, eq.a, eq.income),
+                   sigma)
 
 
 def fd_rybczynski(specs, p, V, h: float = 1e-4, base: EquilibriumPoint | None = None):
@@ -362,46 +368,79 @@ def _draw_spec(rng, family: str, theta_col, nest=None):
                            nest=nest)
 
 
+def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints(),
+                     max_draws: int = 100_000) -> list:
+    """Rejection-sample one production-backed economy per seed.
+
+    seeds is a sequence of seeds or Generators, each passed to
+    np.random.default_rng; each sample records its own. Specs are calibrated
+    so that w = (1,1,1), p = (1,1) is an exact equilibrium; endowments follow
+    from a random output draw. The seeds run in lockstep rounds: each
+    pending seed draws its next candidate from its own generator, as it
+    would alone, and the round's snapshots are then validated and placed in
+    the ratio plane as arrays. A seed leaves at its first passing candidate,
+    so each sample depends on its own seed only. If seeds exhaust the
+    budget, the first of them raises.
+    """
+    cons = constraints
+    families, nest = cons.families, None
+    if cons.quadrant == "IV":
+        # only land-capital complementarity can reach quadrant IV
+        families, nest = ("two_level_ces",), (T, K)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    shares = [_draw_shares(rng, cons.min_share, cons.ranked, max_draws)
+              for rng in rngs]
+    out = [None] * len(rngs)
+    exhausted = len(rngs)  # index of the first seed out of candidates
+    pending = list(range(len(rngs)))
+    w, p = np.ones(3), np.ones(2)
+    while pending:
+        ks, specs, income = [], [], []
+        X, V, a, sigma = (np.empty((len(pending),) + shape)
+                          for shape in ((2,), (3,), (3, 2), (2, 3, 3)))
+        for k in pending:
+            theta_share = next(shares[k], None)
+            if theta_share is None:
+                exhausted = min(exhausted, k)
+                continue
+            rng, n = rngs[k], len(ks)
+            ks.append(k)
+            specs.append(tuple(
+                _draw_spec(rng, families[rng.integers(len(families))],
+                           theta_share[:, j], nest=nest) for j in range(2)))
+            X[n] = rng.uniform(0.5, 2.0, size=2)
+            for j, spec in enumerate(specs[n]):
+                cost = spec.unit_cost(w)
+                a[n, :, j] = cost[1]
+                sigma[n, j] = spec.aes(w, cost)
+            V[n] = a[n] @ X[n]
+            income.append(float(p @ X[n]))
+        X, V, a, sigma = (arr[:len(ks)] for arr in (X, V, a, sigma))
+        arrays = _snapshot_shares(w, p, V, X, a, income) + (sigma,)
+        ok = _validity(*arrays, cons.ranked, STRUCT_TOL)[0]
+        if cons.quadrant is not None:
+            g = _ews(arrays[1], _epsilon(arrays[0], sigma))
+            with np.errstate(all="ignore"):
+                s, u = g[:, L, K] / g[:, L, T], g[:, K, T] / g[:, L, T]
+            ok &= ~(abs(g[:, L, T]) < ZERO_TOL)
+            ok &= in_quadrant(s, u, cons.quadrant)
+        for n in np.flatnonzero(ok):
+            eq = EquilibriumPoint(np.ones(3), np.ones(2), V[n], X[n], a[n],
+                                  income[n])
+            out[ks[n]] = SampledEconomy(Economy(*(arr[n] for arr in arrays)),
+                                        specs[n], eq, seeds[ks[n]])
+        pending = [k for k in pending if out[k] is None and k < exhausted]
+    if exhausted < len(rngs):
+        raise ExhaustedRejection(
+            f"no economy satisfying {cons} within {max_draws} draws "
+            f"(seed {seeds[exhausted]})")
+    return out
+
+
 def sample_economy(seed: int, constraints: SampleConstraints = SampleConstraints(),
                    max_draws: int = 100_000) -> SampledEconomy:
-    """Rejection-sample a production-backed economy satisfying the constraints.
-
-    Specs are calibrated so that w = (1,1,1), p = (1,1) is an exact
-    equilibrium; endowments follow from a random output draw. Deterministic
-    for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    cons = constraints
-    for theta_share in _draw_shares(rng, cons.min_share, cons.ranked,
-                                    max_draws):
-        families = cons.families
-        nest = None
-        if cons.quadrant == "IV":
-            # only land-capital complementarity can reach quadrant IV
-            families = ("two_level_ces",)
-            nest = (T, K)
-        specs = tuple(_draw_spec(rng, families[rng.integers(len(families))],
-                                 theta_share[:, j], nest=nest)
-                      for j in range(2))
-        X = rng.uniform(0.5, 2.0, size=2)
-        w = np.ones(3)
-        p = np.ones(2)
-        a = np.stack([specs[j].unit_cost(w)[1] for j in range(2)], axis=1)
-        V = a @ X
-        eq = EquilibriumPoint(w, p, V, X, a, float(p @ X))
-        e = economy_snapshot(eq, specs)
-        if not validate_economy(e, check_ranking=cons.ranked).ok:
-            continue
-        if cons.quadrant is not None:
-            try:
-                quad, _ = quadrant(ews_ratio_vector(ews_matrix(e)))
-            except DegenerateDenominator:
-                continue
-            if quad.value != cons.quadrant:
-                continue
-        return SampledEconomy(e, specs, eq, seed)
-    raise ExhaustedRejection(
-        f"no economy satisfying {cons} within {max_draws} draws (seed {seed})")
+    """`sample_economies` for one seed. Deterministic for a fixed seed."""
+    return sample_economies([seed], constraints, max_draws)[0]
 
 
 def appendix_f_sweep(e: Economy, outer_aes, inner_grid) -> list:

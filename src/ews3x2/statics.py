@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSign, SingularSystem
-from .model import Economy, K, L, T, epsilon, ews_matrix
+from .model import Economy, K, L, T, _epsilon, _ews, ews_matrix
 from .tolerances import COND_LIMIT, RESIDUAL_TOL, ZERO_TOL
 
 
@@ -21,17 +21,21 @@ def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve small dense systems by LAPACK LU with partial pivoting (gesv).
 
     a is (..., n, n); b is a stack of vectors (..., n) when it has one
-    dimension fewer than a, else of matrices (..., n, k). One factorisation
-    per member solves for [b | I], which yields both x and the inverse; if
-    any member's 1-norm condition number ||A||_1 ||A^-1||_1 exceeds
-    COND_LIMIT or is not finite, SingularSystem is raised.
+    dimension fewer than a, else of matrices (..., n, k), and its leading
+    axes broadcast against a's. One factorisation per member solves for
+    [b | I], which yields both x and the inverse; if any member's 1-norm
+    condition number ||A||_1 ||A^-1||_1 exceeds COND_LIMIT or is not finite,
+    SingularSystem is raised.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[-1]
-    k = 1 if b.ndim == a.ndim - 1 else b.shape[-1]
+    vectors = b.ndim == a.ndim - 1
+    if vectors:
+        b = b[..., None]
+    k = b.shape[-1]
     rhs = np.empty(a.shape[:-1] + (k + n,))
-    rhs[..., :k] = b.reshape(rhs.shape[:-1] + (k,))
+    rhs[..., :k] = b
     rhs[..., k:] = np.eye(n)
     try:
         sol = np.linalg.solve(a, rhs)
@@ -44,7 +48,7 @@ def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystem(
             f"1-norm condition {np.max(cond):.3e} is not finite or exceeds "
             f"{COND_LIMIT:.1e}")
-    return x.reshape(b.shape)
+    return x[..., 0] if vectors else x
 
 
 @dataclass(frozen=True)
@@ -149,43 +153,52 @@ class Response:
         }
 
 
-def hat_system(e: Economy) -> np.ndarray:
-    """Coefficient matrix of the 5x5 system in (w_T*, w_K*, w_L*, X_1*, X_2*).
+def _hat_matrices(th, la, g) -> np.ndarray:
+    """Coefficient matrices (..., 5, 5) of the hat-system in
+    (w_T*, w_K*, w_L*, X_1*, X_2*), from shares th and allocations la
+    (..., 3, 2) and EWS matrices g (..., 3, 3).
 
     Rows 1-2: zero-profit in rates, sum_i theta_ij w_i* = p_j*.
     Rows 3-5: full employment in rates, sum_h g_ih w_h* + sum_j lambda_ij X_j* = V_i*.
     """
-    g = ews_matrix(e).g
-    m = np.zeros((5, 5))
-    m[0, :3] = e.theta_share[:, 0]
-    m[1, :3] = e.theta_share[:, 1]
-    m[2:, :3] = g
-    m[2:, 3:] = e.lambda_share
+    m = np.zeros(g.shape[:-2] + (5, 5))
+    m[..., :2, :3] = th.swapaxes(-1, -2)
+    m[..., 2:, :3] = g
+    m[..., 2:, 3:] = la
     return m
 
 
-def _solve_hat(e: Economy, rhs: np.ndarray) -> np.ndarray:
-    """Solve the hat-system for a (5,) or (5, k) right-hand side.
+def hat_system(e: Economy) -> np.ndarray:
+    """Coefficient matrix (5, 5) of the hat-system of one economy."""
+    return _hat_matrices(e.theta_share, e.lambda_share, ews_matrix(e).g)
 
-    Raises SingularSystem when any column's residual exceeds
+
+def _solve_hats(th, la, sigma, rhs) -> tuple:
+    """Solve the hat-systems of economies stacked on a leading axis.
+
+    th, la (N, 3, 2) and sigma (N, 2, 3, 3) are their shares, allocations
+    and Allen elasticities; rhs (..., 5, k) holds right-hand sides that
+    broadcast against them. One factorisation per member covers all k
+    columns. Returns x (N, 5, k) and the price elasticities eps
+    (N, 2, 3, 3). Raises SingularSystem when any member is ill-conditioned,
+    or when any member's column has a residual above
     RESIDUAL_TOL * max(1, |rhs column|).
     """
-    m = hat_system(e)
+    eps = _epsilon(th, sigma)
+    m = _hat_matrices(th, la, _ews(la, eps))
     x = solve_partial_pivot(m, rhs)
-    resid = np.abs(m @ x - rhs).max(axis=0)
-    scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
+    resid = np.abs(m @ x - rhs).max(axis=-2)
+    scale = np.maximum(1.0, np.abs(rhs).max(axis=-2))
     if not np.all(resid <= RESIDUAL_TOL * scale):
         raise SingularSystem(
             f"hat-system residual {np.max(resid):.3e} too large")
-    return x
+    return x, eps
 
 
-def solve_linear(e: Economy, s: Shock) -> Response:
-    """Solve the hat-system and populate every derived rate-of-change field."""
-    x = _solve_hat(e, np.concatenate([s.p_star, s.v_star]))
+def _response(e: Economy, s: Shock, x: np.ndarray, eps: np.ndarray) -> Response:
+    """Every derived rate-of-change field from the solution x (5,) for s."""
     w_star = x[:3]
     x_star = x[3:]
-    eps = epsilon(e)
     # a_ij* = sum_h eps[j, i, h] w_h*
     a_star = np.einsum("jih,h->ij", eps, w_star)
     a0_prime = np.einsum("ij,ij->i", e.lambda_share, a_star)
@@ -201,6 +214,13 @@ def solve_linear(e: Economy, s: Shock) -> Response:
     )
 
 
+def solve_linear(e: Economy, s: Shock) -> Response:
+    """Solve the hat-system and populate every derived rate-of-change field."""
+    x, eps = _solve_hats(e.theta_share[None], e.lambda_share[None], e.sigma[None],
+                         np.concatenate([s.p_star, s.v_star])[None, :, None])
+    return _response(e, s, x[0, :, 0], eps[0])
+
+
 def a0_prime_from_ews(e: Economy, w_star: np.ndarray) -> np.ndarray:
     """Aggregate input-coefficient changes computed from the EWS matrix alone.
 
@@ -211,6 +231,15 @@ def a0_prime_from_ews(e: Economy, w_star: np.ndarray) -> np.ndarray:
     return g @ w_star - g.sum(axis=1) * w_star
 
 
+#: right-hand sides of the Rybczynski solve: column i has p* = 0 and a unit
+#: v* on factor i
+_ENDOWMENT_RHS = np.eye(5, 3, k=-2)
+
+
+def _rybczynski(values: np.ndarray) -> tuple:
+    return values, np.sign(values).astype(int)
+
+
 def rybczynski_matrix(e: Economy) -> tuple:
     """Output responses to unit endowment changes at fixed goods prices.
 
@@ -218,10 +247,20 @@ def rybczynski_matrix(e: Economy) -> tuple:
     three right-hand sides have p* = 0 and a unit v_star on factor i; signs is
     the elementwise sign matrix.
     """
-    # column i of the right-hand side: p* = 0, v* = unit vector i
-    values = _solve_hat(e, np.eye(5, 3, k=-2))[3:]
-    signs = np.sign(values).astype(int)
-    return values, signs
+    x, _ = _solve_hats(e.theta_share[None], e.lambda_share[None], e.sigma[None],
+                       _ENDOWMENT_RHS[None])
+    return _rybczynski(x[0, 3:])
+
+
+def responses_and_rybczynski(economies, s: Shock) -> list:
+    """(solve_linear(e, s), rybczynski_matrix(e)) for each economy, from one
+    stacked solve whose columns are the shock and the three endowment ones."""
+    rhs = np.column_stack([np.concatenate([s.p_star, s.v_star]), _ENDOWMENT_RHS])
+    x, eps = _solve_hats(*(np.stack([getattr(e, name) for e in economies])
+                           for name in ("theta_share", "lambda_share", "sigma")),
+                         rhs[None])
+    return [(_response(e, s, x[n, :, 0], eps[n]), _rybczynski(x[n, 3:, 1:]))
+            for n, e in enumerate(economies)]
 
 
 def stolper_samuelson(e: Economy, P: float, time_reversal: bool = False) -> Response:

@@ -29,7 +29,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 #: relative to the observation's rate scale: dead band for signs of measured rates
 DEAD_BAND = 1e-10
-#: relative to max(1, rate scale): residual of measured-data consistency checks
+#: relative to the rate scale: residual of measured-data consistency checks
 DATA_TOL = 1e-6
 #: absolute: floor of a rate scale, so that an all-zero observation has one
 SCALE_FLOOR = 1e-300

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, determinism, figures."""
 
 import csv
+import hashlib
 import json
 import warnings
 
@@ -181,7 +182,7 @@ def test_invalid_economy_is_not_computed_on(e0, tmp_path, capsys, command):
     ("rybczynski", "statics.rybczynski_matrix", m.SingularSystem),
     ("classify", "model.ews_ratio_vector", m.DegenerateDenominator),
     ("estimate", "est.run_pipeline", m.ZeroP),
-    ("sweep", "production.sample_economy", m.ExhaustedRejection),
+    ("sweep", "production.sample_economies", m.ExhaustedRejection),
 ])
 def test_typed_error_exits_1(e0_path, obs_path, tmp_path, capsys, monkeypatch,
                              command, target, error):
@@ -248,6 +249,18 @@ def test_estimate_csv_and_svg(e0, tmp_path, capsys):
     assert "S'(R_L1)" in text
 
 
+def test_non_finite_observation_rate_exits_2(e0, tmp_path, capsys):
+    d = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0))).to_dict()
+    del d["a_star"]
+    d["w_star"] = [float("nan"), -0.5, 0.5]
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(d))
+    assert main(["estimate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: non-finite entries in w_star of {path}\n"
+    assert out.out == ""
+
+
 def test_estimate_bad_csv(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("theta_T1,theta_T2\n0.45,0.2\n")
@@ -281,6 +294,68 @@ def test_sweep_deterministic_csv(tmp_path, capsys):
     for r in rows[1:]:
         assert r[14] in ("X>Y>Z", "X>Z>Y", "Z>X>Y", "Z>Y>X")
         assert r[17] == "True"
+
+
+#: sha256 of the 200-row reference sweep CSVs, as the one-seed-at-a-time
+#: sweep wrote them (numpy 2.4)
+SWEEP_DIGESTS = {
+    ("1234", "ranked"):
+        "fc7075b9027d41e8537c1d75396ff72a3181013f78fbb6f45296c31e6cbc31e3",
+    ("77", "quadrant4"):
+        "5929922c24965bc3fb2f52111daabd228ecd90c6059323d994bfac5be4e0d1b3",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("seed,constraint", list(SWEEP_DIGESTS))
+def test_sweep_reference_csv_digests(tmp_path, seed, constraint, jobs):
+    out = tmp_path / "sweep.csv"
+    assert main(["--out", str(out), "sweep", "--seed", seed, "--count", "200",
+                 "--constraint", constraint, "--jobs", jobs]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SWEEP_DIGESTS[seed, constraint]
+
+
+@pytest.mark.parametrize("constraint", ["ranked", "quadrant4"])
+def test_sweep_chunk_equals_one_row_commands(tmp_path, constraint):
+    whole, one = tmp_path / "whole.csv", tmp_path / "one.csv"
+    assert main(["--out", str(whole), "sweep", "--seed", "600", "--count", "20",
+                 "--constraint", constraint]) == 0
+    lines = whole.read_text().splitlines()
+    assert len(lines) == 21
+    for k in range(20):
+        assert main(["--out", str(one), "sweep", "--seed", str(600 + k),
+                     "--count", "1", "--constraint", constraint]) == 0
+        header, row = one.read_text().splitlines()
+        index, rest = row.split(",", 1)
+        assert (header, index) == (lines[0], "0")
+        assert lines[k + 1] == f"{k},{rest}"
+
+
+def test_sweep_reports_the_first_failing_row(tmp_path, capsys, monkeypatch):
+    # row 5's sampler fails before row 3's statics in the batched pass; the
+    # rows rerun one at a time, so row 3's own error is the one reported
+    import ews3x2.cli as cli
+    seed = 40
+    row3 = m.sample_economy(seed + 3, m.SampleConstraints(ranked=True)).economy
+    sample = cli.production.sample_economies
+    solve = cli.statics.responses_and_rybczynski
+
+    def sampler(seeds, *args):
+        if seed + 5 in seeds:
+            raise m.ExhaustedRejection("row 5 has no economy")
+        return sample(seeds, *args)
+
+    def statics(economies, *args):
+        if any(np.array_equal(e.theta_share, row3.theta_share) for e in economies):
+            raise m.SingularSystem("row 3 is singular")
+        return solve(economies, *args)
+
+    monkeypatch.setattr(cli.production, "sample_economies", sampler)
+    monkeypatch.setattr(cli.statics, "responses_and_rybczynski", statics)
+    assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
+                 "--count", "8"]) == 1
+    assert capsys.readouterr().err == "error: row 3 is singular\n"
 
 
 def test_sweep_overwrites_a_longer_file_exactly(tmp_path):

@@ -276,6 +276,23 @@ def test_consistency_flags_bad_data(obs0):
     assert any("income-weight" in f for f in out["failures"])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-13])
+def test_consistency_verdicts_survive_rescaling(obs0, scale):
+    def rescaled(**rates):
+        return m.consistency_checks(Observation(
+            theta_share=obs0.theta_share, theta_good=obs0.theta_good,
+            p_star=obs0.p_star * scale, w_star=obs0.w_star * scale,
+            **{k: np.asarray(v) * scale for k, v in rates.items()}))
+
+    assert rescaled(a_star=obs0.a_star)["consistent"]
+    bad = rescaled(a0_prime=[0.2, -0.1, -0.05])
+    assert "aggregate input-coefficient changes do not income-weight to zero" \
+        in bad["failures"]
+    bad = rescaled(a_star=obs0.a_star + [[0.01, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert "per-sector share-weighted a* rows do not sum to zero" \
+        in bad["failures"]
+
+
 def test_consistency_flags_excluded_letter(obs0):
     # letter E = (+, -, +) is impossible under the realized ranking X>Z>Y
     tf = obs0.theta_factor

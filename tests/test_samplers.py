@@ -1,4 +1,5 @@
-"""Block-drawn share candidates: the samplers keep the one-at-a-time stream.
+"""Block-drawn share candidates and lockstep rounds across seeds: the samplers
+keep the one-at-a-time stream.
 
 The reference samplers below are the one-candidate-per-iteration loops the
 block draw replaced, kept as they were apart from counting the candidates
@@ -212,3 +213,35 @@ def test_production_budget_ending_on_the_accepted_candidate(cons):
         with pytest.raises(ExhaustedRejection,
                            match=f"within {draws - 1} draws"):
             m.sample_economy(seed, cons, draws - 1)
+
+
+@pytest.mark.parametrize("cons", PRODUCTION_MODES.values(),
+                         ids=PRODUCTION_MODES)
+def test_batched_production_sampler_keeps_every_stream(cons):
+    rngs = [np.random.default_rng(seed) for seed in SEEDS]
+    samples = m.sample_economies(rngs, cons)
+    for seed, rng, s in zip(SEEDS, rngs, samples):
+        ref_rng = np.random.default_rng(seed)
+        ref, _ = reference_sample_economy(ref_rng, cons)
+        assert_same_sample(s, ref)
+        assert s.seed is rng
+        assert same_state(rng, ref_rng), seed
+
+
+def test_batched_sampler_raises_for_the_first_exhausted_seed():
+    cons = m.SampleConstraints(ranked=True)
+    draws = {seed: reference_sample_economy(seed, cons)[1] for seed in range(9)}
+    budget = sorted(draws.values())[-2] - 1
+    short = [seed for seed in draws if draws[seed] > budget]
+    assert len(short) == 2
+    for seeds in (list(draws), list(draws)[::-1]):
+        first = next(seed for seed in seeds if seed in short)
+        with pytest.raises(ExhaustedRejection) as info:
+            m.sample_economies(seeds, cons, budget)
+        with pytest.raises(ExhaustedRejection) as ref:
+            reference_sample_economy(first, cons, budget)
+        assert str(info.value) == str(ref.value)
+    # with the budget met, every seed gets its own economy
+    samples = m.sample_economies(list(draws), cons, max(draws.values()))
+    for seed, s in zip(draws, samples):
+        assert_same_sample(s, reference_sample_economy(seed, cons)[0])
