@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,24 @@ def _fail_io(msg: str) -> int:
     return EXIT_IO
 
 
-ECONOMY_SHAPES = {"theta_share": (3, 2), "lambda_share": (3, 2),
-                  "theta_good": (2,), "theta_factor": (3,), "sigma": (2, 3, 3)}
+#: the shape of every array an economy or observation document holds
+SHAPES = {"theta_share": (3, 2), "lambda_share": (3, 2), "theta_good": (2,),
+          "theta_factor": (3,), "sigma": (2, 3, 3), "p_star": (2,),
+          "w_star": (3,), "a_star": (3, 2), "a0_prime": (3,)}
+
+
+def _check_arrays(doc, path: str, kind: str, finite: bool = True):
+    """Exit 2 if an array of `doc`, an Economy or an Observation, has the
+    wrong shape, or a non-finite entry unless `finite` is False."""
+    arrays = [(f.name, getattr(doc, f.name)) for f in fields(doc)
+              if getattr(doc, f.name) is not None]
+    wrong = [f"{name} has shape {arr.shape}, not {SHAPES[name]}"
+             for name, arr in arrays if arr.shape != SHAPES[name]]
+    if wrong:
+        raise SystemExit(_fail_io(f"malformed {kind} {path}: {'; '.join(wrong)}"))
+    bad = [name for name, arr in arrays if not np.isfinite(arr).all()]
+    if bad and finite:
+        raise SystemExit(_fail_io(f"non-finite entries in {', '.join(bad)} of {path}"))
 
 
 def _load_economy(path: str, finite: bool = True) -> model.Economy:
@@ -58,15 +75,7 @@ def _load_economy(path: str, finite: bool = True) -> model.Economy:
         e = model.Economy.from_dict(d)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExit(_fail_io(f"malformed economy document {path}: {exc}"))
-    wrong = [f"{name} has shape {arr.shape}, not {ECONOMY_SHAPES[name]}"
-             for name, arr in vars(e).items() if arr.shape != ECONOMY_SHAPES[name]]
-    if wrong:
-        raise SystemExit(_fail_io(
-            f"malformed economy document {path}: {'; '.join(wrong)}"))
-    bad = [name for name, arr in vars(e).items() if not np.isfinite(arr).all()]
-    if bad and finite:
-        raise SystemExit(_fail_io(
-            f"non-finite entries in {', '.join(bad)} of {path}"))
+    _check_arrays(e, path, "economy document", finite)
     return e
 
 
@@ -121,11 +130,7 @@ def _load_observation(path: str) -> est.Observation:
         except (KeyError, ValueError, TypeError, Ews3x2Error) as exc:
             raise SystemExit(_fail_io(
                 f"malformed observation document {path}: {exc}"))
-    arrays = ("theta_share", "theta_good", "p_star", "w_star", "a_star", "a0_prime")
-    bad = [name for name in arrays if getattr(obs, name) is not None
-           and not np.isfinite(getattr(obs, name)).all()]
-    if bad:
-        raise SystemExit(_fail_io(f"non-finite entries in {', '.join(bad)} of {path}"))
+    _check_arrays(obs, path, "observation document")
     return obs
 
 
@@ -282,7 +287,7 @@ def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
             agrees = bool(np.array_equal(geometry.rybczynski_pattern(label), signs))
             ok = ok and agrees
         th = sample.economy.theta_share
-        fams = [s.to_dict()["form"] for s in sample.specs]
+        fams = [s.form for s in sample.specs]
         rows.append([
             first_index + k, seeds[k], fams[0], fams[1],
             f"{th[0, 0]:.12g}", f"{th[1, 0]:.12g}", f"{th[2, 0]:.12g}",

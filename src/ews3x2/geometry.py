@@ -6,6 +6,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import gt, lt
 
 import numpy as np
 
@@ -55,28 +56,24 @@ QUADRANT_SIGNS = {
 }
 
 
-#: quadrants off the axes, at 2 * (S' > 0) + (U' > 0); the boundary at -1
-_QUADRANTS = (Quadrant.III, Quadrant.II, Quadrant.IV, Quadrant.I,
-              Quadrant.BOUNDARY)
+#: the side of zero each of (S', U') lies on inside each quadrant
+_SIDES = {Quadrant.I: (gt, gt), Quadrant.II: (lt, gt), Quadrant.III: (lt, lt),
+          Quadrant.IV: (gt, lt)}
 
 
-def _quadrant_index(s, u):
-    """Position in `_QUADRANTS` of ratio coordinates (S', U'): floats, or
-    arrays of any shape."""
-    off_axes = (s != 0.0) & (u != 0.0)
-    return (2 * (s > 0) + (u > 0) + 1) * off_axes - 1
+def in_quadrant(s, u, name: str):
+    """Where ratio coordinates (S', U'), floats or arrays of any shape, lie
+    in the quadrant named "I" to "IV". A zero or NaN coordinate lies in none."""
+    side_s, side_u = _SIDES[Quadrant[name]]
+    return side_s(s, 0.0) & side_u(u, 0.0)
 
 
 def quadrant(p: RatioPoint) -> tuple:
-    """Quadrant of the ratio point and the EWS sign triple it implies."""
-    q = _QUADRANTS[_quadrant_index(p.s, p.u)]
+    """Quadrant of the ratio point and the EWS sign triple it implies; a
+    point in no quadrant is on the boundary."""
+    q = next((q for q, (side_s, side_u) in _SIDES.items()
+              if side_s(p.s, 0.0) and side_u(p.u, 0.0)), Quadrant.BOUNDARY)
     return q, QUADRANT_SIGNS.get(q)
-
-
-def in_quadrant(s, u, name: str) -> np.ndarray:
-    """Where ratio coordinates (S', U'), over any shape, lie in the quadrant
-    named "I" to "IV"."""
-    return _quadrant_index(s, u) == _QUADRANTS.index(Quadrant(name))
 
 
 @dataclass(frozen=True)

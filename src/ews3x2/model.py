@@ -368,13 +368,22 @@ class RatioPoint:
         return (self.s, self.u)
 
 
+def _ews_ratios(g) -> tuple:
+    """(S', U') = (g_LK/g_LT, g_KT/g_LT) of EWS matrices g (..., 3, 3); NaN
+    where g_LT is zero, |g_LT| < ZERO_TOL."""
+    g_LT = g[..., L, T]
+    g_LT = np.where(abs(g_LT) < ZERO_TOL, np.nan, g_LT)
+    return g[..., L, K] / g_LT, g[..., K, T] / g_LT
+
+
 def ews_ratio_vector(g: EwsMatrix) -> RatioPoint:
-    """(S', U') = (g_LK/g_LT, g_KT/g_LT)."""
-    if abs(g.g_LT) < ZERO_TOL:
+    """The ratio point of one EWS matrix; raises where `_ews_ratios` has none."""
+    s, u = _ews_ratios(g.g)
+    if np.isnan(s):
         raise DegenerateDenominator(
             f"g_LT = {g.g_LT:.3e}; the EWS-ratio vector is undefined")
-    return RatioPoint(g.g_LK / g.g_LT, g.g_KT / g.g_LT,
-                      g.theta_L_over_K, 1 if g.g_LT > 0 else -1)
+    return RatioPoint(float(s), float(u), g.theta_L_over_K,
+                      1 if g.g_LT > 0 else -1)
 
 
 SUBSTITUTE = "economy-wide substitute"

@@ -9,31 +9,32 @@ vector into quadrant IV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ExhaustedRejection, NonConvergence, Specialization
 from .geometry import in_quadrant
 from .model import (Economy, K, L, T, _draw_shares, _epsilon, _ews,
-                    _fill_aes_diagonal, _validity, ews_matrix)
+                    _ews_ratios, _fill_aes_diagonal, _validity, ews_matrix,
+                    ews_ratio_vector)
 from .statics import solve_partial_pivot
-from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL, STRUCT_TOL, ZERO_TOL
+from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL, STRUCT_TOL
 
 
 @dataclass(frozen=True)
 class CobbDouglas:
-    """c(w) = scale * prod_i w_i^alpha[i], alpha on the simplex."""
+    """c(w) = prod_i w_i^alpha[i], alpha on the simplex."""
 
+    form = "cobb_douglas"
     alpha: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.array(self.alpha, dtype=float))
 
     def unit_cost(self, w):
         w = np.asarray(w, dtype=float)
-        c = self.scale * (w ** self.alpha).prod(axis=-1)
+        c = (w ** self.alpha).prod(axis=-1)
         return c, self.alpha * c[..., None] / w
 
     def aes(self, w, cost=None):
@@ -41,18 +42,14 @@ class CobbDouglas:
         _, a = self.unit_cost(w) if cost is None else cost
         return _fill_aes_diagonal(np.ones(w.shape + (3,)), _shares(w, a))
 
-    def to_dict(self):
-        return {"form": "cobb_douglas", "alpha": self.alpha.tolist(),
-                "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Ces:
-    """c(w) = scale * (sum_i delta[i] w_i^(1-s))^(1/(1-s)), s > 0, s != 1."""
+    """c(w) = (sum_i delta[i] w_i^(1-s))^(1/(1-s)), s > 0, s != 1."""
 
+    form = "ces"
     delta: np.ndarray
     s: float
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "delta", np.array(self.delta, dtype=float))
@@ -63,8 +60,7 @@ class Ces:
         w = np.asarray(w, dtype=float)
         rho = 1.0 - self.s
         base = np.vecdot(w ** rho, self.delta)
-        c = self.scale * base ** (1.0 / rho)
-        # a_i = dc/dw_i = scale^rho... use log-derivative form, exact for any scale
+        c = base ** (1.0 / rho)
         a = c[..., None] * self.delta * w ** (rho - 1.0) / base[..., None]
         return c, a
 
@@ -72,10 +68,6 @@ class Ces:
         w = np.asarray(w, dtype=float)
         _, a = self.unit_cost(w) if cost is None else cost
         return _fill_aes_diagonal(np.full(w.shape + (3,), self.s), _shares(w, a))
-
-    def to_dict(self):
-        return {"form": "ces", "delta": self.delta.tolist(), "s": self.s,
-                "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -94,11 +86,11 @@ class TwoLevelCes:
     strided view over a batch.
     """
 
+    form = "two_level_ces"
     mu: np.ndarray
     nu: np.ndarray
     s_in: float
     s_out: float
-    scale: float = 1.0
     nest: tuple = (T, K)
 
     def __post_init__(self):
@@ -124,7 +116,7 @@ class TwoLevelCes:
         q = base_in ** (1.0 / rin)
         rho = 1.0 - self.s_out
         base = self.nu[0] * q ** rho + self.nu[1] * wt[out] ** rho
-        c = self.scale * base ** (1.0 / rho)
+        c = base ** (1.0 / rho)
         # outer demands: composite and the outside factor
         a_m = c * self.nu[0] * q ** (rho - 1.0) / base
         at = np.empty(wt.shape)
@@ -142,12 +134,6 @@ class TwoLevelCes:
         sig.T[i1, i2] = sig.T[i2, i1] = (
             self.s_out + (self.s_in - self.s_out) / (st[i1] + st[i2]))
         return _fill_aes_diagonal(sig, st.T)
-
-    def to_dict(self):
-        return {"form": "two_level_ces", "mu": self.mu.tolist(),
-                "nu": self.nu.tolist(), "s_in": self.s_in,
-                "s_out": self.s_out, "scale": self.scale,
-                "nest": list(self.nest)}
 
 
 def _shares(w, a):
@@ -419,10 +405,7 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
         arrays = _snapshot_shares(w, p, V, X, a, income) + (sigma,)
         ok = _validity(*arrays, cons.ranked, STRUCT_TOL)[0]
         if cons.quadrant is not None:
-            g = _ews(arrays[1], _epsilon(arrays[0], sigma))
-            with np.errstate(all="ignore"):
-                s, u = g[:, L, K] / g[:, L, T], g[:, K, T] / g[:, L, T]
-            ok &= ~(abs(g[:, L, T]) < ZERO_TOL)
+            s, u = _ews_ratios(_ews(arrays[1], _epsilon(arrays[0], sigma)))
             ok &= in_quadrant(s, u, cons.quadrant)
         for n in np.flatnonzero(ok):
             eq = EquilibriumPoint(np.ones(3), np.ones(2), V[n], X[n], a[n],
@@ -454,18 +437,10 @@ def appendix_f_sweep(e: Economy, outer_aes, inner_grid) -> list:
     """
     rows = []
     for sig_kt in inner_grid:
-        sigma = np.empty((2, 3, 3))
-        for j in range(2):
-            c_j = outer_aes[j]
-            m = np.full((3, 3), c_j, dtype=float)
-            m[T, K] = m[K, T] = sig_kt
-            sigma[j] = _fill_aes_diagonal(m, e.theta_share[:, j])
-        econ = Economy(e.theta_share, e.lambda_share, e.theta_good,
-                       e.theta_factor, sigma)
-        g = ews_matrix(econ)
-        rows.append({
-            "sigma_KT": float(sig_kt),
-            "g_LK": g.g_LK, "g_LT": g.g_LT, "g_KT": g.g_KT,
-            "s": g.g_LK / g.g_LT, "u": g.g_KT / g.g_LT,
-        })
+        sigma = np.full((2, 3, 3), np.reshape(outer_aes, (2, 1, 1)), dtype=float)
+        sigma[:, T, K] = sigma[:, K, T] = sig_kt
+        g = ews_matrix(replace(e, sigma=_fill_aes_diagonal(sigma, e.theta_share.T)))
+        p = ews_ratio_vector(g)
+        rows.append({"sigma_KT": float(sig_kt), "g_LK": g.g_LK, "g_LT": g.g_LT,
+                     "g_KT": g.g_KT, "s": p.s, "u": p.u})
     return rows

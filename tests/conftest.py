@@ -169,14 +169,9 @@ def crafted_case_observations(e, rng, count, require_verdict=None):
 # share-level sampler so every admissible sign pattern is reachable.
 
 def mixed_pool(seed, size):
-    out = []
-    k = 0
-    while len(out) < size:
-        if k % 2 == 0:
-            out.append(m.sample_economy_shares(seed + k))
-        else:
-            out.append(
-                m.sample_economy(seed + k, m.SampleConstraints(ranked=True)).economy
-            )
-        k += 1
-    return out
+    """Economies of seeds seed, seed + 1, ...: the share-level sampler's at
+    even offsets, the production-backed sampler's, in one batch, at odd ones."""
+    produced = iter(m.sample_economies(range(seed + 1, seed + size, 2),
+                                       m.SampleConstraints(ranked=True)))
+    return [next(produced).economy if k % 2 else m.sample_economy_shares(seed + k)
+            for k in range(size)]

@@ -17,7 +17,7 @@ from ews3x2.estimate import corollary1_subregion, theorem1_verdict
 from ews3x2.model import K, L, T, epsilon
 from ews3x2.statics import RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews
 
-from conftest import crafted_observation
+from conftest import crafted_observation, mixed_pool
 
 POOL_SIZE = 10_000
 BASE_SEED = 2024
@@ -30,16 +30,7 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def pool():
-    out = []
-    k = 0
-    while len(out) < POOL_SIZE:
-        if k % 2 == 0:
-            out.append(m.sample_economy_shares(BASE_SEED + k))
-        else:
-            out.append(m.sample_economy(
-                BASE_SEED + k, m.SampleConstraints(ranked=True)).economy)
-        k += 1
-    return out
+    return mixed_pool(BASE_SEED, POOL_SIZE)
 
 
 @pytest.fixture(scope="module")

@@ -261,6 +261,33 @@ def test_non_finite_observation_rate_exits_2(e0, tmp_path, capsys):
     assert out.out == ""
 
 
+MISSHAPEN_OBSERVATION = {
+    "w_star of length 2": ("w_star", lambda d: d["w_star"][:2]),
+    "w_star of length 4": ("w_star", lambda d: d["w_star"] + [0.1]),
+    "scalar w_star": ("w_star", lambda d: 0.5),
+    "p_star of length 1": ("p_star", lambda d: d["p_star"][:1]),
+    "p_star of length 3": ("p_star", lambda d: d["p_star"] + [0.0]),
+    "a_star of shape (3, 1)": ("a_star", lambda d: [r[:1] for r in d["a_star"]]),
+    "a0_prime of length 2": ("a0_prime", lambda d: d["a0_prime"][:2]),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN_OBSERVATION)
+def test_misshapen_observation_is_an_input_error(e0, tmp_path, capsys, case):
+    field, value = MISSHAPEN_OBSERVATION[case]
+    d = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0))).to_dict()
+    if field == "a0_prime":
+        del d["a_star"]  # otherwise a0_prime is recomputed from a_star
+    d[field] = value(d)
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(d))
+    assert main(["estimate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: malformed observation document {path}: "
+                              f"{field} has shape")
+    assert out.out == ""
+
+
 def test_estimate_bad_csv(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("theta_T1,theta_T2\n0.45,0.2\n")

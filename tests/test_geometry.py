@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.geometry import RYBCZYNSKI_PATTERNS, line_boundary_intersections
+from ews3x2.geometry import (RYBCZYNSKI_PATTERNS, in_quadrant,
+                             line_boundary_intersections)
 from ews3x2.model import K, L, T, RatioPoint
 from ews3x2.statics import Shock
 
@@ -58,6 +59,21 @@ def test_quadrant_map():
         assert triple is not None and len(triple) == 3
     quad, triple = m.quadrant(RatioPoint(0.0, 1.0, R0))
     assert quad is m.Quadrant.BOUNDARY and triple is None
+
+
+def test_in_quadrant_equals_scalar_quadrant():
+    # signed zeros and NaN lie in no quadrant, in both
+    values = [-np.inf, -2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, np.inf, np.nan]
+    s, u = (a.ravel() for a in np.meshgrid(values, values))
+    for name in ("I", "II", "III", "IV"):
+        inside = in_quadrant(s, u, name)
+        assert inside.shape == s.shape
+        for k in range(len(s)):
+            quad, _ = m.quadrant(RatioPoint(float(s[k]), float(u[k]), R0))
+            assert inside[k] == (quad.value == name), (s[k], u[k])
+            assert in_quadrant(float(s[k]), float(u[k]), name) == inside[k]
+    for point in [(np.nan, np.nan), (np.nan, 1.0), (-0.0, -1.0)]:
+        assert m.quadrant(RatioPoint(*point, R0)) == (m.Quadrant.BOUNDARY, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.model import K, L, T
-from ews3x2.tolerances import IDENT_TOL
+from ews3x2.model import K, L, T, _ews_ratios
+from ews3x2.tolerances import IDENT_TOL, ZERO_TOL
 
 from conftest import E0_THETA_GOOD, E0_THETA_SHARE, mixed_pool
 
@@ -159,6 +159,23 @@ def test_ratio_vector_degenerate_denominator(e0):
     zeroed = m.EwsMatrix(np.zeros((3, 3)), g.theta_factor)
     with pytest.raises(m.DegenerateDenominator):
         m.ews_ratio_vector(zeroed)
+
+
+def test_ratio_home_is_nan_exactly_where_the_ratio_vector_raises(e0):
+    # g_LT at +-0.0, inside and outside the zero tolerance, and ordinary
+    g = np.repeat(m.ews_matrix(e0).g[None], 5, axis=0)
+    g[:, L, T] = [0.0, -0.0, 0.5 * ZERO_TOL, -2.0 * ZERO_TOL, 0.3]
+    s, u = _ews_ratios(g)
+    for k in range(len(g)):
+        one = m.EwsMatrix(g[k], e0.theta_factor)
+        if abs(g[k, L, T]) < ZERO_TOL:
+            assert np.isnan(s[k]) and np.isnan(u[k])
+            with pytest.raises(m.DegenerateDenominator):
+                m.ews_ratio_vector(one)
+        else:
+            p = m.ews_ratio_vector(one)
+            assert (p.s, p.u) == (s[k], u[k])
+            assert (p.s, p.u) == (one.g_LK / one.g_LT, one.g_KT / one.g_LT)
 
 
 # ---------------------------------------------------------------------------

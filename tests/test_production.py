@@ -90,12 +90,12 @@ def point_unit_cost(spec, w):
     """The one-point closed forms, in the arithmetic order the spec methods
     keep at a single point."""
     if isinstance(spec, CobbDouglas):
-        c = spec.scale * float(np.prod(w ** spec.alpha))
+        c = float(np.prod(w ** spec.alpha))
         return c, spec.alpha * c / w
     if isinstance(spec, Ces):
         rho = 1.0 - spec.s
         base = float(spec.delta @ w ** rho)
-        c = spec.scale * base ** (1.0 / rho)
+        c = base ** (1.0 / rho)
         return c, c * spec.delta * w ** (rho - 1.0) / base
     i1, i2 = spec.nest
     out = spec.outside
@@ -104,7 +104,7 @@ def point_unit_cost(spec, w):
     q = base_in ** (1.0 / rin)
     rho = 1.0 - spec.s_out
     base = spec.nu[0] * q ** rho + spec.nu[1] * w[out] ** rho
-    c = spec.scale * base ** (1.0 / rho)
+    c = base ** (1.0 / rho)
     a_m = c * spec.nu[0] * q ** (rho - 1.0) / base
     a = np.empty(3)
     a[out] = c * spec.nu[1] * w[out] ** (rho - 1.0) / base
@@ -463,3 +463,9 @@ def test_sweep_integer_outer_aes_is_not_truncated(e0):
     rows = m.appendix_f_sweep(e0, outer_aes=(2, 1), inner_grid=grid)
     assert rows == m.appendix_f_sweep(e0, outer_aes=(2.0, 1.0), inner_grid=grid)
     assert rows[0]["g_KT"] != 0.0
+
+
+def test_sweep_with_zero_outer_aes_is_a_typed_error(e0):
+    # zero cross elasticities with labor make g_LT exactly 0
+    with pytest.raises(m.DegenerateDenominator):
+        m.appendix_f_sweep(e0, outer_aes=(0.0, 0.0), inner_grid=[0.5])

@@ -8,6 +8,8 @@ library sampler and asserts the same result, bit for bit, and the same
 generator state afterwards.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,10 @@ def assert_same_economy(a, b):
 
 def assert_same_sample(a, b):
     assert_same_economy(a.economy, b.economy)
-    assert [s.to_dict() for s in a.specs] == [s.to_dict() for s in b.specs]
+    for x, y in zip(a.specs, b.specs, strict=True):
+        assert type(x) is type(y)
+        for f in dataclasses.fields(x):
+            assert np.array_equal(getattr(x, f.name), getattr(y, f.name)), f.name
     for name in ("w", "p", "V", "X", "a"):
         assert np.array_equal(getattr(a.equilibrium, name),
                               getattr(b.equilibrium, name)), name
