@@ -33,105 +33,72 @@ def _out_dir(args) -> Path:
     return p
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_fail_io(f"cannot read {path}: {exc}"))
-
-
 def _fail_io(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_IO
 
 
-#: the shape of every array an economy or observation document holds
+#: the shape of every array an economy, shock or observation document holds
 SHAPES = {"theta_share": (3, 2), "lambda_share": (3, 2), "theta_good": (2,),
           "theta_factor": (3,), "sigma": (2, 3, 3), "p_star": (2,),
-          "w_star": (3,), "a_star": (3, 2), "a0_prime": (3,)}
+          "v_star": (3,), "w_star": (3,), "a_star": (3, 2), "a0_prime": (3,)}
+
+#: observation field -> its CSV columns, in row-major order of its shape
+CSV_COLUMNS = {"theta_share": "theta_T1 theta_T2 theta_K1 theta_K2 theta_L1 theta_L2",
+               "theta_good": "theta_good1 theta_good2", "p_star": "p1_star p2_star",
+               "w_star": "wT_star wK_star wL_star",
+               "a_star": "aT1_star aT2_star aK1_star aK2_star aL1_star aL2_star",
+               "a0_prime": "aT0_prime aK0_prime aL0_prime"}
+CSV_HELP = ("; ".join(f"{field}: {cols}" for field, cols in CSV_COLUMNS.items())
+            + "; either the a_star or the a0_prime columns may be left out")
 
 
-def _check_arrays(doc, path: str, kind: str, finite: bool = True):
-    """Exit 2 if an array of `doc`, an Economy or an Observation, has the
-    wrong shape, or a non-finite entry unless `finite` is False."""
+def _csv_document(fh) -> dict:
+    """The observation dict held by a CSV of a header and one data row."""
+    rows = [r for r in csv.reader(fh) if r]
+    if len(rows) != 2 or len(rows[0]) != len(rows[1]):
+        raise ValueError("not a header and one data row of as many values")
+    row = {k.strip(): float(v) for k, v in zip(*rows)}
+    return {field: np.reshape([row[c] for c in cols.split()], SHAPES[field])
+            for field, cols in CSV_COLUMNS.items()
+            if any(c in row for c in cols.split())}
+
+
+def _read(path: str, cls, finite: bool = True):
+    """Parse `path` into `cls`, an Economy, Shock or Observation, from JSON or,
+    for an Observation, a one-row CSV. An unreadable or malformed document, a
+    misshapen array, and a non-finite entry unless `finite` is False exit 2."""
+    is_csv = cls is est.Observation and path.endswith(".csv")
+    what = f"{cls.__name__.lower()} {'CSV' if is_csv else 'document'} {path}"
+    try:
+        with open(path, newline="" if is_csv else None) as fh:
+            doc = cls.from_dict(_csv_document(fh) if is_csv else json.load(fh))
+    except (OSError, LookupError, ValueError, TypeError, csv.Error, Ews3x2Error) as exc:
+        if not is_csv and isinstance(exc, (OSError, json.JSONDecodeError)):
+            raise SystemExit(_fail_io(f"cannot read {path}: {exc}"))
+        hint = f" (expected {CSV_HELP})" if is_csv else ""
+        raise SystemExit(_fail_io(f"malformed {what}: {exc}{hint}"))
     arrays = [(f.name, getattr(doc, f.name)) for f in fields(doc)
               if getattr(doc, f.name) is not None]
     wrong = [f"{name} has shape {arr.shape}, not {SHAPES[name]}"
              for name, arr in arrays if arr.shape != SHAPES[name]]
     if wrong:
-        raise SystemExit(_fail_io(f"malformed {kind} {path}: {'; '.join(wrong)}"))
+        raise SystemExit(_fail_io(f"malformed {what}: {'; '.join(wrong)}"))
     bad = [name for name, arr in arrays if not np.isfinite(arr).all()]
     if bad and finite:
         raise SystemExit(_fail_io(f"non-finite entries in {', '.join(bad)} of {path}"))
-
-
-def _load_economy(path: str, finite: bool = True) -> model.Economy:
-    """Parse an economy document. A wrongly shaped array is an input error,
-    and so is a non-finite entry unless `finite` is False (validate reports
-    it as a violation)."""
-    d = _load_json(path)
-    try:
-        e = model.Economy.from_dict(d)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SystemExit(_fail_io(f"malformed economy document {path}: {exc}"))
-    _check_arrays(e, path, "economy document", finite)
-    return e
+    return doc
 
 
 def _load_valid_economy(args) -> model.Economy:
     """Parse `args.economy` for a compute command; a structurally invalid
     economy (ranking not required) exits 1 listing every violation."""
-    e = _load_economy(args.economy)
-    rep = model.validate_economy(e, tol=args.tolerance or tolerances.STRUCT_TOL)
+    e = _read(args.economy, model.Economy)
+    rep = model.validate_economy(e, tol=args.tolerance)
     if not rep.ok:
         print(f"error: invalid economy {args.economy}:\n{rep}", file=sys.stderr)
         raise SystemExit(EXIT_MODEL)
     return e
-
-
-OBSERVATION_CSV_COLUMNS = (
-    "one row; share columns theta_T1 theta_K1 theta_L1 theta_T2 theta_K2 "
-    "theta_L2 theta_good1 theta_good2; rate columns p1_star p2_star wT_star "
-    "wK_star wL_star; either aT1_star..aL2_star or aT0_prime aK0_prime aL0_prime"
-)
-
-
-def _load_observation(path: str) -> est.Observation:
-    if path.endswith(".csv"):
-        try:
-            with open(path, newline="") as fh:
-                row = next(csv.DictReader(fh))
-            row = {k.strip(): float(v) for k, v in row.items()}
-            theta_share = [[row["theta_T1"], row["theta_T2"]],
-                           [row["theta_K1"], row["theta_K2"]],
-                           [row["theta_L1"], row["theta_L2"]]]
-            theta_good = [row["theta_good1"], row["theta_good2"]]
-            p_star = [row["p1_star"], row["p2_star"]]
-            w_star = [row["wT_star"], row["wK_star"], row["wL_star"]]
-            a_star = a0 = None
-            if "aT1_star" in row:
-                a_star = [[row["aT1_star"], row["aT2_star"]],
-                          [row["aK1_star"], row["aK2_star"]],
-                          [row["aL1_star"], row["aL2_star"]]]
-            else:
-                a0 = [row["aT0_prime"], row["aK0_prime"], row["aL0_prime"]]
-            obs = est.Observation(theta_share=theta_share, theta_good=theta_good,
-                                  p_star=p_star, w_star=w_star,
-                                  a_star=a_star, a0_prime=a0)
-        except (OSError, KeyError, ValueError, StopIteration) as exc:
-            raise SystemExit(_fail_io(
-                f"malformed observation CSV {path}: {exc} "
-                f"(expected {OBSERVATION_CSV_COLUMNS})"))
-    else:
-        d = _load_json(path)
-        try:
-            obs = est.Observation.from_dict(d)
-        except (KeyError, ValueError, TypeError, Ews3x2Error) as exc:
-            raise SystemExit(_fail_io(
-                f"malformed observation document {path}: {exc}"))
-    _check_arrays(obs, path, "observation document")
-    return obs
 
 
 def _emit(payload: dict, args):
@@ -146,9 +113,8 @@ def _emit(payload: dict, args):
 
 
 def cmd_validate(args) -> int:
-    e = _load_economy(args.economy, finite=False)
-    rep = model.validate_economy(e, check_ranking=args.ranking,
-                                 tol=args.tolerance or tolerances.STRUCT_TOL)
+    e = _read(args.economy, model.Economy, finite=False)
+    rep = model.validate_economy(e, check_ranking=args.ranking, tol=args.tolerance)
     print(rep)
     _emit(rep.to_dict(), args)
     return EXIT_OK if rep.ok else EXIT_MODEL
@@ -190,12 +156,7 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     e = _load_valid_economy(args)
-    d = _load_json(args.shock)
-    try:
-        shock = statics.Shock.from_dict(d)
-    except (KeyError, ValueError, TypeError) as exc:
-        return _fail_io(f"malformed shock document {args.shock}: {exc}")
-    r = statics.solve_linear(e, shock)
+    r = statics.solve_linear(e, _read(args.shock, statics.Shock))
     _emit(r.to_dict(), args)
     return EXIT_OK
 
@@ -220,7 +181,7 @@ def cmd_rybczynski(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    obs = _load_observation(args.observation)
+    obs = _read(args.observation, est.Observation)
     rep = est.run_pipeline(obs, time_reversal=args.time_reversal)
     _emit(rep.to_dict(), args)
     if args.svg:
@@ -384,13 +345,22 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def tolerance(text: str) -> float:
+    """The --tolerance type: a float that is finite and >= 0."""
+    tol = float(text)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ews3x2",
         description="Comparative statics and EWS-ratio geometry for the "
                     "three-factor two-good trade model")
-    ap.add_argument("--tolerance", type=float, default=None,
-                    help="override the structural validation tolerance")
+    ap.add_argument("--tolerance", type=tolerance, default=tolerances.STRUCT_TOL,
+                    help="structural validation tolerance, finite and >= 0 "
+                         "(default %(default)s)")
     ap.add_argument("--out", default=None, help="output file path")
     ap.add_argument("--out-dir", default=None,
                     help="output directory (default: $EWS3X2_OUT or .)")
@@ -415,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("economy")
 
     p = sub.add_parser("estimate", help="run the two-period estimation pipeline")
-    p.add_argument("observation", help="Observation JSON or CSV")
+    p.add_argument("observation", help="Observation JSON, or a CSV of a header "
+                   f"and one data row with the columns {CSV_HELP}")
     p.add_argument("--time-reversal", action="store_true")
     p.add_argument("--svg", default=None, help="also write a segment figure")
 

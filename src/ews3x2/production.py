@@ -325,6 +325,11 @@ class SampleConstraints:
     families: tuple = ("cobb_douglas", "ces", "two_level_ces")
     min_share: float = 0.02
 
+    def __post_init__(self):
+        if self.quadrant not in (None, "I", "II", "III", "IV"):
+            raise ValueError(f"quadrant must be None or one of 'I' to 'IV', "
+                             f"not {self.quadrant!r}")
+
 
 @dataclass(frozen=True)
 class SampledEconomy:

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, file formats, determinism, figures."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2.cli import main
@@ -42,6 +48,30 @@ def test_validate_bad_economy(e0, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(d))
     assert main(["validate", str(p)]) == 1
+    assert "share-column-sum" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "-0.5", "abc"])
+def test_tolerance_must_be_finite_and_not_negative(e0, tmp_path, capsys, value):
+    d = e0.to_dict()
+    d["theta_share"][0][0] += 0.05
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tolerance={value}", "validate", str(p)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "error: argument --tolerance" in out.err
+    assert out.out == ""
+
+
+def test_tolerance_zero_is_zero(e0, tmp_path, capsys):
+    d = e0.to_dict()
+    d["theta_share"][0][0] += 1e-12
+    p = tmp_path / "nearly.json"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 0
+    assert main(["--tolerance", "0", "validate", str(p)]) == 1
     assert "share-column-sum" in capsys.readouterr().out
 
 
@@ -87,6 +117,33 @@ def test_solve_malformed_shock(e0_path, tmp_path):
     shock = tmp_path / "shock.json"
     shock.write_text(json.dumps({"p_star": [1.0, 0.0]}))
     assert main(["solve", e0_path, str(shock)]) == 2
+
+
+BAD_SHOCK = {
+    "p_star of length 1": ("p_star", [1.0], "malformed shock document {}: "
+                           "p_star has shape (1,), not (2,)"),
+    "scalar p_star": ("p_star", 1.0, "malformed shock document {}: "
+                      "p_star has shape (), not (2,)"),
+    "v_star of length 2": ("v_star", [0.0, 0.5], "malformed shock document {}: "
+                           "v_star has shape (2,), not (3,)"),
+    "v_star of length 4": ("v_star", [0.0, 0.5, 0.0, 0.0], "malformed shock "
+                           "document {}: v_star has shape (4,), not (3,)"),
+    "NaN in p_star": ("p_star", [float("nan"), 0.0],
+                      "non-finite entries in p_star of {}"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHOCK)
+def test_bad_shock_is_an_input_error(e0_path, tmp_path, capsys, case):
+    field, value, message = BAD_SHOCK[case]
+    d = Shock.price(1.0).to_dict()
+    d[field] = value
+    path = tmp_path / "shock.json"
+    path.write_text(json.dumps(d))
+    assert main(["solve", e0_path, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message.format(path)}\n"
+    assert out.out == ""
 
 
 def test_rybczynski_payload(e0_path, capsys):
@@ -294,6 +351,61 @@ def test_estimate_bad_csv(tmp_path):
     assert main(["estimate", str(path)]) == 2
 
 
+def observation_csv(obs, a_columns: str) -> str:
+    """`obs` as a one-row CSV whose rate-of-change columns are a_star's
+    (a_columns "star") or a0_prime's ("prime"), named as in the README."""
+    th, a = obs.theta_share, obs.a_star
+    row = {f"theta_{f}{j + 1}": th[i, j] for i, f in enumerate("TKL") for j in range(2)}
+    row.update({f"theta_good{j + 1}": obs.theta_good[j] for j in range(2)})
+    row.update({f"p{j + 1}_star": obs.p_star[j] for j in range(2)})
+    row.update({f"w{f}_star": obs.w_star[i] for i, f in enumerate("TKL")})
+    if a_columns == "star":
+        row.update({f"a{f}{j + 1}_star": a[i, j]
+                    for i, f in enumerate("TKL") for j in range(2)})
+    else:
+        row.update({f"a{f}0_prime": obs.a0_prime[i] for i, f in enumerate("TKL")})
+    return ",".join(row) + "\n" + ",".join(repr(float(v)) for v in row.values()) + "\n"
+
+
+@pytest.mark.parametrize("change", ["no row", "two rows", "short row", "long row"])
+def test_observation_csv_needs_one_data_row_of_all_columns(e0, tmp_path, capsys,
+                                                            change):
+    # two rows once exited 0 on the first; a short row died with a TypeError
+    # and a long one with an AttributeError
+    obs = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0)))
+    header, row = observation_csv(obs, "star").splitlines()
+    rows = {"no row": [], "two rows": [row, row], "short row": [row[:row.rindex(",")]],
+            "long row": [row + ",0.5"]}[change]
+    path = tmp_path / "obs.csv"
+    path.write_text("".join(line + "\n" for line in [header] + rows))
+    assert main(["estimate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: malformed observation CSV {path}: "
+                              "not a header and one data row")
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11, 42])
+@pytest.mark.parametrize("reversal", [[], ["--time-reversal"]])
+def test_observation_json_and_csv_give_the_same_estimate(e0, tmp_path, capsys,
+                                                         seed, reversal):
+    e = e0 if seed is None else m.sample_economy(
+        seed, m.SampleConstraints(ranked=True, quadrant="IV")).economy
+    obs = m.observation_from_response(e, m.solve_linear(e, Shock.price(1.0)))
+    # the a0_prime columns give what a document without a_star gives
+    a0_only = {k: v for k, v in obs.to_dict().items() if k != "a_star"}
+    docs = {"star.json": json.dumps(obs.to_dict()), "star.csv": observation_csv(obs, "star"),
+            "a0.json": json.dumps(a0_only), "a0.csv": observation_csv(obs, "prime")}
+    outputs = {}
+    for name, text in docs.items():
+        path, svg = tmp_path / f"obs.{name}", tmp_path / f"{name}.svg"
+        path.write_text(text)
+        assert main(["estimate", str(path), "--svg", str(svg)] + reversal) == 0
+        outputs[name] = (capsys.readouterr(), svg.read_bytes())
+    assert outputs["star.csv"] == outputs["star.json"]
+    assert outputs["a0.csv"] == outputs["a0.json"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -416,3 +528,108 @@ def test_plot_writes_svg_and_csv(e0_path, tmp_path):
     for label in ("Q", "R_L1", "R_L2", "E"):
         assert label in text
     assert coords.read_text().splitlines()[0]  # non-empty header
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: a valid document with one part broken
+
+
+WRONG_TYPES = ["abc", "1.0", None, True, {"a": 1.0}, [], [["x", 1.0]]]
+
+
+def broken_value(value):
+    """Strategy: the array-like `value` in a wrong shape, with one entry not
+    finite, or replaced by a value of another type."""
+    arr = np.asarray(value, dtype=float)
+
+    def non_finite(args):
+        k, bad = args
+        flat = arr.flatten()
+        flat[k] = bad
+        return flat.reshape(arr.shape).tolist()
+
+    return st.one_of(
+        st.lists(st.floats(-2, 2), max_size=4),
+        st.floats(-2, 2),
+        st.just(np.append(arr, 0.5).tolist()),
+        st.just(arr[..., :-1].tolist()),
+        st.tuples(st.integers(0, arr.size - 1),
+                  st.sampled_from([np.nan, np.inf, -np.inf])).map(non_finite),
+        st.sampled_from(WRONG_TYPES),
+    )
+
+
+@st.composite
+def broken_json(draw, doc: dict) -> str:
+    how = draw(st.sampled_from(["field", "missing key", "not an object"]))
+    if how == "not an object":
+        return json.dumps(draw(st.sampled_from([[], [1.0, 2.0], 3.5, "abc", None])))
+    doc = dict(doc)
+    name = draw(st.sampled_from(sorted(k for k in doc if k not in ("factors", "sectors"))))
+    if how == "missing key":
+        del doc[name]
+    else:
+        doc[name] = draw(broken_value(doc[name]))
+    return json.dumps(doc)
+
+
+@st.composite
+def broken_csv(draw, obs) -> str:
+    header, row = observation_csv(obs, draw(st.sampled_from(["star", "prime"]))).splitlines()
+    header, row = header.split(","), row.split(",")
+    how = draw(st.sampled_from(["extra row", "no row", "missing column", "entry",
+                                "short row", "long row"]))
+    rows = [row]
+    k = draw(st.integers(0, len(row) - 1))
+    if how == "extra row":
+        rows.append(draw(st.sampled_from([row, ["foo", "bar"], row[:3]])))
+    elif how == "no row":
+        rows = []
+    elif how == "missing column":
+        del header[k], row[k]
+    elif how == "entry":
+        row[k] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "", "x", "None"]))
+    elif how == "short row":
+        del row[k]
+    else:
+        row.append("0.5")
+    return "".join(",".join(r) + "\n" for r in [header] + rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_broken_documents_exit_0_1_or_2(e0, data):
+    obs = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0)))
+    kind = data.draw(st.sampled_from(["economy", "shock", "observation", "csv"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        econ, shock = os.path.join(tmp, "economy.json"), os.path.join(tmp, "shock.json")
+        doc = os.path.join(tmp, "obs.csv" if kind == "csv" else "doc.json")
+        with open(econ, "w") as fh:
+            json.dump(e0.to_dict(), fh)
+        with open(shock, "w") as fh:
+            json.dump(Shock.price(1.0).to_dict(), fh)
+        text = {"economy": lambda: broken_json(e0.to_dict()),
+                "shock": lambda: broken_json(Shock.price(1.0).to_dict()),
+                "observation": lambda: broken_json(obs.to_dict()),
+                "csv": lambda: broken_csv(obs)}[kind]()
+        with open(doc, "w") as fh:
+            fh.write(data.draw(text))
+        if kind == "economy":
+            command = data.draw(st.sampled_from(
+                ["validate", "ews", "classify", "solve", "rybczynski", "plot"]))
+            argv = [command, doc] + ([shock] if command == "solve" else [])
+        elif kind == "shock":
+            argv = ["solve", econ, doc]
+        else:
+            argv = ["estimate", doc, "--svg", os.path.join(tmp, "fig.svg")]
+            argv += data.draw(st.sampled_from([[], ["--time-reversal"]]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["--out-dir", tmp] + argv)
+    assert rc in (0, 1, 2)
+    assert "NaN" not in out.getvalue()
+    assert "Infinity" not in out.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")

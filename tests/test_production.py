@@ -423,6 +423,16 @@ def test_sample_economy_quadrant_iv():
     assert m.validate_economy(s.economy, check_ranking=True).ok
 
 
+@pytest.mark.parametrize("quadrant", ["iv", "V", "", "boundary", 4])
+def test_unknown_quadrant_is_rejected_when_constraints_are_built(quadrant):
+    # a wrong name once failed only in the first sampler round, with a bare
+    # KeyError
+    with pytest.raises(ValueError, match="quadrant must be None or one of"):
+        m.SampleConstraints(ranked=True, quadrant=quadrant)
+    for name in (None, "I", "II", "III", "IV"):
+        assert m.SampleConstraints(quadrant=name).quadrant == name
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=5000))
 def test_sampled_economies_validate(seed):
