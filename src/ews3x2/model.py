@@ -67,7 +67,7 @@ class Economy:
             theta_factor = theta_share @ theta_good
         theta_factor = np.asarray(theta_factor, dtype=float)
         if lambda_share is None:
-            lambda_share = theta_share * theta_good[None, :] / theta_factor[:, None]
+            lambda_share = _allocations(theta_share, theta_good, theta_factor)
         return cls(theta_share, lambda_share, theta_good, theta_factor, sigma)
 
     @classmethod
@@ -101,6 +101,11 @@ class Economy:
             "theta_factor": self.theta_factor.tolist(),
             "sigma": self.sigma.tolist(),
         }
+
+
+def _allocations(th, tg, tf) -> np.ndarray:
+    """lambda_share from theta_share, theta_good and theta_factor (..., 3)."""
+    return th * tg[..., None, :] / tf[..., :, None]
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def _validity(th, la, tg, tf, sg, check_ranking: bool, tol: float) -> tuple:
         mag[:, 10] = tg.sum(axis=-1)
         mag[:, 11] = tf.sum(axis=-1)
         mag[:, 5:12] = abs(mag[:, 5:12] - 1.0)
-        link = la - th * tg[:, None, :] / tf[:, :, None]
+        link = la - _allocations(th, tg, tf)
         mag[:, 12] = np.abs(link).reshape(n, 6).max(-1)
         # max(0.0, max(-a), max(a - 1)), with a zero never negative; a share
         # outside (0, 1) makes the inner maximum non-negative
@@ -330,14 +335,17 @@ class EwsMatrix:
         share-ratio form). All three are equal in exact arithmetic and
         strictly positive for a valid economy.
         """
-        g = self.g
-        tf = self.theta_factor
-        lhs = g[K, K] * g[T, T] - g[T, K] * g[K, T]
-        mid = g[K, T] * g[T, L] + g[K, L] * g[T, K] + g[K, L] * g[T, L]
-        ltk = tf[L] / tf[T]
-        lkk = tf[L] / tf[K]
-        rhs = ltk * (g[K, T] * (g[L, T] + g[L, K]) + lkk * g[L, K] * g[L, T])
-        return float(lhs), float(mid), float(rhs)
+        return _determinant_forms(self.g.tolist(), self.theta_factor.tolist())
+
+
+def _determinant_forms(g, tf) -> tuple:
+    """`EwsMatrix.determinant_identity` of g[i][h] and theta_factor tf[i]."""
+    lhs = g[K][K] * g[T][T] - g[T][K] * g[K][T]
+    mid = g[K][T] * g[T][L] + g[K][L] * g[T][K] + g[K][L] * g[T][L]
+    ltk = tf[L] / tf[T]
+    lkk = tf[L] / tf[K]
+    rhs = ltk * (g[K][T] * (g[L][T] + g[L][K]) + lkk * g[L][K] * g[L][T])
+    return float(lhs), float(mid), float(rhs)
 
 
 def ews_matrix(e: Economy) -> EwsMatrix:
@@ -413,20 +421,36 @@ def classify_substitutes(g: EwsMatrix) -> dict:
     return out
 
 
-def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """Set diagonals so every share-weighted row sums to zero.
+def _aes_diagonal(sig, th) -> tuple:
+    """(sigma_TT, sigma_KK, sigma_LL) that make every share-weighted row of
+    the Allen matrix sig[i][h] sum to zero at distributive shares th[i];
+    floats or arrays."""
+    return (-(sig[T][K] * th[K] + sig[T][L] * th[L]) / th[T],
+            -(sig[K][T] * th[T] + sig[K][L] * th[L]) / th[K],
+            -(sig[L][T] * th[T] + sig[L][K] * th[K]) / th[L])
 
-    sig is (..., 3, 3) and shares (..., 3).
-    """
+
+def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Set the diagonals of sig (..., 3, 3) so that every row weighted by
+    shares (..., 3) sums to zero."""
     sig = np.array(sig, dtype=float)
-    # a fresh C-ordered copy, so this strided slice is a view of its diagonals
-    diag = sig.reshape(sig.shape[:-2] + (9,))[..., ::4]
-    diag[...] = 0.0
-    diag[...] = -(sig * shares[..., None, :]).sum(axis=-1) / shares
+    rows = sig.T.swapaxes(0, 1)  # rows[i, h] is sig[..., i, h], axes reversed
+    rows[T, T], rows[K, K], rows[L, L] = _aes_diagonal(rows, np.asarray(shares).T)
     return sig
 
 
-#: share candidates drawn per Dirichlet call
+def _dirichlet(rng, size: tuple) -> np.ndarray:
+    """rng.dirichlet(np.ones(size[-1]), size=size[:-1]), bit for bit and on
+    the same stream, without its checks of alpha: unit-alpha gammas are
+    standard exponentials, each row scaled by 1 / its left-to-right sum."""
+    e = rng.standard_exponential(size)
+    acc = e[..., 0]
+    for j in range(1, size[-1]):
+        acc = acc + e[..., j]
+    return e * (1.0 / acc)[..., None]
+
+
+#: share candidates drawn per block
 _BLOCK = 32
 
 
@@ -434,23 +458,25 @@ def _draw_shares(rng, min_share: float, ranked: bool, max_draws: int):
     """Yield the shares (3, 2), out of at most `max_draws` candidates, that
     pass the floor `min_share` and, if `ranked`, the intensity ranking.
 
-    Candidates are drawn in blocks with one Dirichlet call and filtered as
-    arrays. dirichlet(alpha, size=(n, 2)) draws the same gammas in the same
-    order as n calls with size=2, so on a hit at i the generator is rewound
-    and i + 1 candidates redrawn, leaving it where one-at-a-time draws would.
+    Candidates are drawn in blocks and filtered as arrays. A block of n
+    candidates draws the same exponentials in the same order as n draws of
+    one, so on a hit at i the generator is rewound and the exponentials of
+    i + 1 candidates redrawn, leaving it where one-at-a-time draws would.
     """
     left = max_draws
     while left > 0:
         n = min(_BLOCK, left)
         state = rng.bit_generator.state
-        th = rng.dirichlet(np.ones(3), size=(n, 2)).swapaxes(-1, -2)
+        th = _dirichlet(rng, (n, 2, 3)).swapaxes(-1, -2)
         ok = th.min(axis=(-2, -1)) >= min_share
         if ranked:
             ok &= intensity_ranked(th)
-        if ok.any():
-            n = int(ok.argmax()) + 1
+        hit = int(ok.argmax())
+        if ok[hit]:
+            n = hit + 1
             rng.bit_generator.state = state
-            yield rng.dirichlet(np.ones(3), size=(n, 2))[-1].T
+            rng.standard_exponential(6 * n)
+            yield th[hit]
         left -= n
 
 
@@ -461,39 +487,37 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
     Unlike the production-backed sampler this draws the Allen matrices
     freely (symmetric, share-weighted rows summing to zero, negative
     diagonal), so it reaches substitution patterns no single-nest CES
-    technology can produce. Deterministic for a fixed seed.
+    technology can produce. Each candidate is tested on arrays; only the
+    accepted one becomes an `Economy`. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     for theta_share in _draw_shares(rng, min_share, ranked, max_draws):
-        theta_good = rng.dirichlet(np.ones(2))
-        if np.min(theta_good) < 0.01:
+        theta_good = _dirichlet(rng, (2,))
+        if min(theta_good.tolist()) < 0.01:
             continue
-        sigma = np.zeros((2, 3, 3))
-        concave = True
+        sigma = np.empty((2, 3, 3))
+        columns = theta_share.T.tolist()
         for j in range(2):
-            tk, tl, kl = rng.uniform(-3.0, 6.0, size=3)
-            tth = theta_share[:, j]
-            s = _fill_aes_diagonal([[0.0, tk, tl], [tk, 0.0, kl],
-                                    [tl, kl, 0.0]], tth)
+            tk, tl, kl = rng.uniform(-3.0, 6.0, size=3).tolist()
+            s = [[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]]
+            s[T][T], s[K][K], s[L][L] = _aes_diagonal(s, columns[j])
+            sigma[j] = s
             # curvature: the share-weighted Allen matrix of a concave cost
             # function is negative semidefinite (one zero eigenvalue from
             # homogeneity, the rest strictly negative)
-            weighted = tth[:, None] * s * tth[None, :]
-            if np.linalg.eigvalsh(weighted)[-1] > CONCAVITY_TOL:
-                concave = False
+            tth = theta_share[:, j]
+            if np.linalg.eigvalsh(tth[:, None] * sigma[j] * tth)[-1] > CONCAVITY_TOL:
                 break
-            sigma[j] = s
-        if not concave:
-            continue
-        e = Economy.from_shares(theta_share, theta_good, sigma)
-        if not validate_economy(e, check_ranking=ranked).ok:
-            continue
-        g = ews_matrix(e)
-        off = (g.g_LK, g.g_LT, g.g_KT)
-        if not (np.all(np.diag(g.g) < 0)
-                and sum(v < 0 for v in off) <= 1
-                and min(g.determinant_identity()) > 0):
-            continue
-        return e
+        else:
+            theta_factor = theta_share @ theta_good
+            arrays = (theta_share, _allocations(theta_share, theta_good, theta_factor),
+                      theta_good, theta_factor, sigma)
+            if not _validity(*(a[None] for a in arrays), ranked, STRUCT_TOL)[0][0]:
+                continue
+            g = _ews(arrays[1], _epsilon(theta_share, sigma)).tolist()
+            if (g[T][T] < 0 and g[K][K] < 0 and g[L][L] < 0
+                    and (g[L][K] < 0) + (g[L][T] < 0) + (g[K][T] < 0) <= 1
+                    and min(_determinant_forms(g, theta_factor.tolist())) > 0):
+                return Economy(*arrays)
     raise ExhaustedRejection(
         f"no valid share-level economy within {max_draws} draws")

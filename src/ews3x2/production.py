@@ -339,18 +339,23 @@ class SampledEconomy:
     seed: int
 
 
+#: log-uniform ranges of the drawn elasticities: CES, outer and inner nest
+_LOG_S, _LOG_S_OUT, _LOG_S_IN = ((np.log(lo), np.log(hi))
+                                 for lo, hi in ((0.2, 5.0), (0.3, 5.0), (0.02, 2.0)))
+
+
 def _draw_spec(rng, family: str, theta_col, nest=None):
     if family == "cobb_douglas":
         return calibrated_spec(family, theta_col)
     if family == "ces":
-        s = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        s = float(np.exp(rng.uniform(*_LOG_S)))
         if abs(s - 1.0) < 1e-3:
             s = 1.1
         return calibrated_spec(family, theta_col, s=s)
     if nest is None:
         nest = ((T, K), (T, L), (K, L))[rng.integers(3)]
-    s_out = float(np.exp(rng.uniform(np.log(0.3), np.log(5.0))))
-    s_in = float(np.exp(rng.uniform(np.log(0.02), np.log(2.0))))
+    s_out = float(np.exp(rng.uniform(*_LOG_S_OUT)))
+    s_in = float(np.exp(rng.uniform(*_LOG_S_IN)))
     if abs(s_out - 1.0) < 1e-3:
         s_out = 1.1
     if abs(s_in - 1.0) < 1e-3:

@@ -181,14 +181,15 @@ def _solve_hats(th, la, sigma, rhs) -> tuple:
     broadcast against them. One factorisation per member covers all k
     columns. Returns x (N, 5, k) and the price elasticities eps
     (N, 2, 3, 3). Raises SingularSystem when any member is ill-conditioned,
-    or when any member's column has a residual above
-    RESIDUAL_TOL * max(1, |rhs column|).
+    or when any member's column has a residual |M x - rhs| above
+    RESIDUAL_TOL * max(1, |rhs|, |M| |x|) in the max norm, a bound that a
+    backward-stable solve meets however large x is.
     """
     eps = _epsilon(th, sigma)
     m = _hat_matrices(th, la, _ews(la, eps))
     x = solve_partial_pivot(m, rhs)
     resid = np.abs(m @ x - rhs).max(axis=-2)
-    scale = np.maximum(1.0, np.abs(rhs).max(axis=-2))
+    scale = np.maximum(1.0, np.maximum(abs(rhs), abs(m) @ abs(x)).max(axis=-2))
     if not np.all(resid <= RESIDUAL_TOL * scale):
         raise SingularSystem(
             f"hat-system residual {np.max(resid):.3e} too large")

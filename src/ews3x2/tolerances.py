@@ -21,7 +21,7 @@ IDENT_TOL = 1e-12
 CONCAVITY_TOL = 1e-10
 #: absolute: a dense solve whose 1-norm condition number exceeds this is singular
 COND_LIMIT = 1e12
-#: relative to max(1, |right-hand side|): largest accepted hat-system residual
+#: relative to max(1, |rhs|, |M| |x|) per column: largest hat-system residual
 RESIDUAL_TOL = 1e-10
 #: relative to (p, V): Newton residual below which a member has converged
 NEWTON_TOL = 1e-12

@@ -15,7 +15,8 @@ import ews3x2 as m
 from ews3x2.cli import main as cli_main
 from ews3x2.estimate import corollary1_subregion, theorem1_verdict
 from ews3x2.model import K, L, T, epsilon
-from ews3x2.statics import RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews
+from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews,
+                            responses_and_rybczynski)
 
 from conftest import crafted_observation, mixed_pool
 
@@ -35,15 +36,16 @@ def pool():
 
 @pytest.fixture(scope="module")
 def responses(pool):
-    shock = Shock.price(1.0)
-    return [(e, m.solve_linear(e, shock)) for e in pool]
+    """(economy, solve_linear(economy, P = 1)) over the pool, from one
+    stacked solve."""
+    solved = responses_and_rybczynski(pool, Shock.price(1.0))
+    return [(e, resp) for e, (resp, _) in zip(pool, solved)]
 
 
 @pytest.fixture(scope="module")
 def quadrant_iv_samples():
-    return [m.sample_economy(BASE_SEED + k,
-                             m.SampleConstraints(ranked=True, quadrant="IV"))
-            for k in range(300)]
+    return m.sample_economies(range(BASE_SEED, BASE_SEED + 300),
+                              m.SampleConstraints(ranked=True, quadrant="IV"))
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.model import K, L, T, _ews_ratios
+from ews3x2.model import (K, L, T, _aes_diagonal, _dirichlet, _ews_ratios,
+                          _fill_aes_diagonal)
 from ews3x2.tolerances import IDENT_TOL, ZERO_TOL
 
 from conftest import E0_THETA_GOOD, E0_THETA_SHARE, mixed_pool
@@ -219,3 +220,24 @@ def test_sampler_respects_ranking_flag():
 def test_mixed_pool_builds_valid_economies():
     for e in mixed_pool(31, 6):
         assert m.validate_economy(e, check_ranking=True).ok
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("size", [None, (1,), (7,), (32,), (1, 2), (7, 2), (32, 2)])
+def test_dirichlet_equals_the_library_draw(k, size):
+    for seed in range(50):
+        lib, own = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = lib.dirichlet(np.ones(k), size=size)
+        got = _dirichlet(own, (size or ()) + (k,))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert own.bit_generator.state == lib.bit_generator.state
+
+
+def test_allen_diagonal_is_one_formula_on_floats_and_arrays():
+    rng = np.random.default_rng(3)
+    shares = rng.dirichlet(np.ones(3), size=(4, 2))
+    sig = rng.normal(size=(4, 2, 3, 3))
+    filled = _fill_aes_diagonal(sig, shares)
+    for idx in np.ndindex(4, 2):
+        diag = _aes_diagonal(sig[idx].tolist(), shares[idx].tolist())
+        assert np.diagonal(filled[idx]).tolist() == list(diag)

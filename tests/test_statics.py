@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
+from ews3x2 import statics
 from ews3x2.model import K, L, T
 from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews,
                             hat_system, ranking_label, sign_label,
@@ -258,3 +259,25 @@ def test_labels_restricted_under_main_ranking(seed):
     assert r.label in ("A", "B", "C", "D")
     d = m.lemma2_diagnostics(r)
     assert d.feasible
+
+
+def test_residual_gate_accepts_a_large_solution_of_a_well_posed_system():
+    # condition 5.8e9 (below COND_LIMIT) and |x| up to 6e8: the residual of
+    # the backward-stable solve, 7.4e-9 on one x86-64 host, is far above
+    # 1e-10 * max(1, |rhs|) but far below 1e-10 * |M| |x|
+    e = m.sample_economy_shares(127115)
+    assert m.validate_economy(e, check_ranking=True).ok
+    r = m.solve_linear(e, Shock.price(1.0))
+    x = np.concatenate([r.w_star, r.x_star])
+    assert np.abs(x).max() > 1e8
+    mtx = hat_system(e)
+    resid = np.abs(mtx @ x - [1.0, 0.0, 0.0, 0.0, 0.0]).max()
+    assert resid < 1e-15 * (np.abs(mtx) @ np.abs(x)).max()
+
+
+def test_residual_gate_rejects_an_inexact_solve(e0, monkeypatch):
+    real = statics.solve_partial_pivot
+    monkeypatch.setattr(statics, "solve_partial_pivot",
+                        lambda a, b: real(a, b) * (1.0 + 1e-8))
+    with pytest.raises(m.SingularSystem, match="hat-system residual"):
+        m.solve_linear(e0, Shock.price(1.0))
