@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ExhaustedRejection, NonConvergence, Specialization
 from .geometry import in_quadrant
-from .model import (Economy, K, L, T, _draw_shares, _epsilon, _ews,
-                    _ews_ratios, _fill_aes_diagonal, _validity, ews_matrix,
-                    ews_ratio_vector)
+from .model import (Economy, K, L, T, _aes_diagonal, _draw_shares, _epsilon,
+                    _ews, _ews_ratios, _fill_aes_diagonal, _validity,
+                    ews_matrix, ews_ratio_vector)
 from .statics import solve_partial_pivot
 from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL, STRUCT_TOL
 
@@ -141,6 +141,10 @@ def _shares(w, a):
     return a * w / np.vecdot(a, w, keepdims=True)
 
 
+#: the cost-function families, by the names `calibrated_spec` takes
+FAMILIES = ("cobb_douglas", "ces", "two_level_ces")
+
+
 def calibrated_spec(family: str, theta_col, **kw):
     """Spec whose input-output coefficients at w = (1,1,1) equal theta_col.
 
@@ -160,6 +164,48 @@ def calibrated_spec(family: str, theta_col, **kw):
                            nu=[nu_m, th[out]],
                            s_in=kw["s_in"], s_out=kw["s_out"], nest=nest)
     raise ValueError(f"unknown production family {family!r}")
+
+
+def _unit_point(family: str, th, params) -> tuple:
+    """`calibrated_spec(family, th, **params).unit_cost(1)[1]` and `.aes(1)`
+    at w = (1,1,1), on floats: (a, Allen matrix) as lists.
+
+    Every power of 1.0 and product with 1.0 in the spec methods is exact, so
+    they are taken out; what remains is the methods' arithmetic in their
+    order, and Python's float ** and numpy's scalar ** both call libm pow, so
+    the results are the methods' bit for bit.
+    """
+    if family == "two_level_ces":
+        i1, i2 = params.get("nest", (T, K))
+        out = ({T, K, L} - {i1, i2}).pop()
+        s_in, s_out = params["s_in"], params["s_out"]
+        nu_m = th[i1] + th[i2]
+        mu1, mu2 = th[i1] / nu_m, th[i2] / nu_m
+        rho = 1.0 - s_out
+        base_in = mu1 + mu2
+        q = base_in ** (1.0 / (1.0 - s_in))
+        base = nu_m * q ** rho + th[out]
+        c = base ** (1.0 / rho)
+        a_m = c * nu_m * q ** (rho - 1.0) / base
+        a = [0.0] * 3
+        a[out] = c * th[out] / base
+        a[i1] = a_m * mu1 * q / base_in
+        a[i2] = a_m * mu2 * q / base_in
+        sh = [x / c for x in a]
+        sig = [[s_out] * 3 for _ in range(3)]
+        sig[i1][i2] = sig[i2][i1] = s_out + (s_in - s_out) / (sh[i1] + sh[i2])
+    else:
+        s = params.get("s", 1.0)  # Cobb-Douglas: every Allen elasticity 1
+        a = list(th)
+        if family == "ces":
+            base = th[0] + th[1] + th[2]
+            c = base ** (1.0 / (1.0 - s))
+            a = [c * d / base for d in th]
+        total = a[0] + a[1] + a[2]
+        sh = [x / total for x in a]
+        sig = [[s] * 3 for _ in range(3)]
+    sig[T][T], sig[K][K], sig[L][L] = _aes_diagonal(sig, sh)
+    return a, sig
 
 
 @dataclass(frozen=True)
@@ -322,13 +368,16 @@ class SampleConstraints:
 
     ranked: bool = True
     quadrant: str | None = None
-    families: tuple = ("cobb_douglas", "ces", "two_level_ces")
+    families: tuple = FAMILIES
     min_share: float = 0.02
 
     def __post_init__(self):
         if self.quadrant not in (None, "I", "II", "III", "IV"):
             raise ValueError(f"quadrant must be None or one of 'I' to 'IV', "
                              f"not {self.quadrant!r}")
+        if not self.families or not set(self.families) <= set(FAMILIES):
+            raise ValueError(f"families must name one or more of {FAMILIES}, "
+                             f"not {self.families!r}")
 
 
 @dataclass(frozen=True)
@@ -344,24 +393,23 @@ _LOG_S, _LOG_S_OUT, _LOG_S_IN = ((np.log(lo), np.log(hi))
                                  for lo, hi in ((0.2, 5.0), (0.3, 5.0), (0.02, 2.0)))
 
 
-def _draw_spec(rng, family: str, theta_col, nest=None):
+def _draw_params(rng, family: str, nest=None) -> dict:
+    """`calibrated_spec` keyword arguments of one drawn `family` spec."""
     if family == "cobb_douglas":
-        return calibrated_spec(family, theta_col)
+        return {}
     if family == "ces":
         s = float(np.exp(rng.uniform(*_LOG_S)))
-        if abs(s - 1.0) < 1e-3:
-            s = 1.1
-        return calibrated_spec(family, theta_col, s=s)
+        return {"s": 1.1 if abs(s - 1.0) < 1e-3 else s}
     if nest is None:
         nest = ((T, K), (T, L), (K, L))[rng.integers(3)]
     s_out = float(np.exp(rng.uniform(*_LOG_S_OUT)))
     s_in = float(np.exp(rng.uniform(*_LOG_S_IN)))
-    if abs(s_out - 1.0) < 1e-3:
-        s_out = 1.1
-    if abs(s_in - 1.0) < 1e-3:
-        s_in = 0.9
-    return calibrated_spec(family, theta_col, s_in=s_in, s_out=s_out,
-                           nest=nest)
+    return {"s_in": 0.9 if abs(s_in - 1.0) < 1e-3 else s_in,
+            "s_out": 1.1 if abs(s_out - 1.0) < 1e-3 else s_out, "nest": nest}
+
+
+def _draw_spec(rng, family: str, theta_col, nest=None):
+    return calibrated_spec(family, theta_col, **_draw_params(rng, family, nest))
 
 
 def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints(),
@@ -373,10 +421,12 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
     so that w = (1,1,1), p = (1,1) is an exact equilibrium; endowments follow
     from a random output draw. The seeds run in lockstep rounds: each
     pending seed draws its next candidate from its own generator, as it
-    would alone, and the round's snapshots are then validated and placed in
-    the ratio plane as arrays. A seed leaves at its first passing candidate,
-    so each sample depends on its own seed only. If seeds exhaust the
-    budget, the first of them raises.
+    would alone, and evaluates its coefficients and Allen matrices on floats
+    at the unit point (`_unit_point`); the round's snapshots are then
+    validated and placed in the ratio plane as arrays, and specs are built
+    only for the candidates accepted. A seed leaves at its first passing
+    candidate, so each sample depends on its own seed only. If seeds exhaust
+    the budget, the first of them raises.
     """
     cons = constraints
     families, nest = cons.families, None
@@ -391,9 +441,9 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
     pending = list(range(len(rngs)))
     w, p = np.ones(3), np.ones(2)
     while pending:
-        ks, specs, income = [], [], []
-        X, V, a, sigma = (np.empty((len(pending),) + shape)
-                          for shape in ((2,), (3,), (3, 2), (2, 3, 3)))
+        ks, drawn = [], []
+        X, a, sigma = (np.empty((len(pending),) + shape)
+                       for shape in ((2,), (3, 2), (2, 3, 3)))
         for k in pending:
             theta_share = next(shares[k], None)
             if theta_share is None:
@@ -401,17 +451,16 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
                 continue
             rng, n = rngs[k], len(ks)
             ks.append(k)
-            specs.append(tuple(
-                _draw_spec(rng, families[rng.integers(len(families))],
-                           theta_share[:, j], nest=nest) for j in range(2)))
+            drawn.append([])
+            for col in theta_share.T.tolist():
+                family = families[rng.integers(len(families))]
+                drawn[n].append((family, col, _draw_params(rng, family, nest)))
             X[n] = rng.uniform(0.5, 2.0, size=2)
-            for j, spec in enumerate(specs[n]):
-                cost = spec.unit_cost(w)
-                a[n, :, j] = cost[1]
-                sigma[n, j] = spec.aes(w, cost)
-            V[n] = a[n] @ X[n]
-            income.append(float(p @ X[n]))
-        X, V, a, sigma = (arr[:len(ks)] for arr in (X, V, a, sigma))
+            for j, args in enumerate(drawn[n]):
+                a[n, :, j], sigma[n, j] = _unit_point(*args)
+        X, a, sigma = (arr[:len(ks)] for arr in (X, a, sigma))
+        V = np.matmul(a, X[..., None])[..., 0]
+        income = X[:, 0] + X[:, 1]
         arrays = _snapshot_shares(w, p, V, X, a, income) + (sigma,)
         ok = _validity(*arrays, cons.ranked, STRUCT_TOL)[0]
         if cons.quadrant is not None:
@@ -419,9 +468,11 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
             ok &= in_quadrant(s, u, cons.quadrant)
         for n in np.flatnonzero(ok):
             eq = EquilibriumPoint(np.ones(3), np.ones(2), V[n], X[n], a[n],
-                                  income[n])
+                                  float(income[n]))
+            specs = tuple(calibrated_spec(family, col, **params)
+                          for family, col, params in drawn[n])
             out[ks[n]] = SampledEconomy(Economy(*(arr[n] for arr in arrays)),
-                                        specs[n], eq, seeds[ks[n]])
+                                        specs, eq, seeds[ks[n]])
         pending = [k for k in pending if out[k] is None and k < exhausted]
     if exhausted < len(rngs):
         raise ExhaustedRejection(

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
+from ews3x2 import production
 from ews3x2.model import K, L, T
 from ews3x2.production import (CobbDouglas, Ces, TwoLevelCes, SampledEconomy,
-                               _fill_aes_diagonal, _jacobian, _newton, _system)
+                               _draw_params, _fill_aes_diagonal, _jacobian,
+                               _newton, _system, _unit_point)
 from ews3x2.statics import Shock
 
 
@@ -431,6 +433,54 @@ def test_unknown_quadrant_is_rejected_when_constraints_are_built(quadrant):
         m.SampleConstraints(ranked=True, quadrant=quadrant)
     for name in (None, "I", "II", "III", "IV"):
         assert m.SampleConstraints(quadrant=name).quadrant == name
+
+
+@pytest.mark.parametrize("families", [(), ("foo",), ("ces", "Ces")])
+def test_unknown_family_is_rejected_when_constraints_are_built(families):
+    # an empty tuple once surfaced numpy's "high <= 0" and an unknown name a
+    # ValueError from the first candidate drawn
+    with pytest.raises(ValueError, match="families must name one or more of"):
+        m.SampleConstraints(families=families)
+    assert m.SampleConstraints(families=("ces",)).families == ("ces",)
+
+
+UNIT_POINT_DRAWS = [("cobb_douglas", None), ("ces", None),
+                    ("two_level_ces", (T, K)), ("two_level_ces", (T, L)),
+                    ("two_level_ces", (K, L))]
+
+
+@pytest.mark.parametrize("family, nest", UNIT_POINT_DRAWS)
+def test_unit_point_equals_the_spec_methods(family, nest):
+    # the sampler's float unit point is the calibrated spec's unit_cost and
+    # aes at w = (1,1,1), bit for bit: elasticities drawn as the sampler
+    # draws them, then each at the values the sampler clamps to
+    rng = np.random.default_rng(5)
+    w = np.ones(3)
+    cases = [(rng.dirichlet(np.ones(3)), _draw_params(rng, family, nest))
+             for _ in range(2000)]
+    clamps = {"ces": {"s": 1.1}, "two_level_ces": {"s_in": 0.9, "s_out": 1.1}}
+    cases += [(col, {**params, **clamps.get(family, {})})
+              for col, params in cases[:100]]
+    for col, params in cases:
+        spec = m.calibrated_spec(family, col, **params)
+        a, sigma = _unit_point(family, col.tolist(), params)
+        assert np.array_equal(a, spec.unit_cost(w)[1]), (col, params)
+        assert np.array_equal(sigma, spec.aes(w)), (col, params)
+
+
+def test_rejected_candidates_build_no_specs(monkeypatch):
+    calls = []
+    build = production.calibrated_spec
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(production, "calibrated_spec", counting)
+    samples = m.sample_economies(range(2024, 2084),
+                                 m.SampleConstraints(quadrant="IV"))
+    assert len(samples) == 60
+    assert len(calls) == 2 * len(samples)
 
 
 @settings(max_examples=25, deadline=None)

@@ -150,6 +150,8 @@ SHARE_MODES = {"shares_ranked": True, "shares_unranked": False}
 PRODUCTION_MODES = {
     "ranked": m.SampleConstraints(ranked=True),
     "quadrant_iv": m.SampleConstraints(ranked=True, quadrant="IV"),
+    "unranked": m.SampleConstraints(ranked=False),
+    "cd_ces": m.SampleConstraints(families=("cobb_douglas", "ces")),
 }
 
 
