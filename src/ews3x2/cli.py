@@ -271,9 +271,12 @@ def cmd_sweep(args) -> int:
     firsts = range(0, len(seeds), size)
     chunks = [seeds[f:f + size] for f in firsts]
     constraints = [args.constraint] * len(chunks)
-    if args.jobs > 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(chunks), cpus)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_rows, firsts, chunks, constraints))
     else:
         parts = list(map(_sweep_rows, firsts, chunks, constraints))

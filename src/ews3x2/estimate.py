@@ -17,9 +17,9 @@ import numpy as np
 from .errors import (DegenerateObservation, UnsupportedRanking, ZeroP)
 from .geometry import (RYBCZYNSKI_PATTERNS, SubregionLabel, endpoint_a,
                        endpoint_b, quadrant, r_thresholds)
-from .model import FACTORS, K, L, RatioPoint, T, intensity_ranked
-from .statics import ranking_label, sign_label
-from .tolerances import DATA_TOL, DEAD_BAND, SCALE_FLOOR
+from .model import FACTORS, K, L, RatioPoint, T, _allocations, intensity_ranked
+from .statics import _scale, ranking_label, sign_label
+from .tolerances import DATA_TOL, DEAD_BAND
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,12 @@ class Observation:
     a0_prime: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_share", np.array(self.theta_share, dtype=float))
-        object.__setattr__(self, "theta_good", np.array(self.theta_good, dtype=float))
-        object.__setattr__(self, "p_star", np.array(self.p_star, dtype=float))
-        object.__setattr__(self, "w_star", np.array(self.w_star, dtype=float))
+        for name in ("theta_share", "theta_good", "p_star", "w_star"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         if self.a_star is not None:
             object.__setattr__(self, "a_star", np.array(self.a_star, dtype=float))
-            lam = self.lambda_share
             object.__setattr__(self, "a0_prime",
-                               np.einsum("ij,ij->i", lam, self.a_star))
+                               np.einsum("ij,ij->i", self.lambda_share, self.a_star))
         elif self.a0_prime is not None:
             object.__setattr__(self, "a0_prime", np.array(self.a0_prime, dtype=float))
         else:
@@ -58,8 +55,7 @@ class Observation:
 
     @property
     def lambda_share(self) -> np.ndarray:
-        tf = self.theta_factor
-        return self.theta_share * self.theta_good[None, :] / tf[:, None]
+        return _allocations(self.theta_share, self.theta_good, self.theta_factor)
 
     @property
     def P(self) -> float:
@@ -101,10 +97,6 @@ def observation_from_response(e, resp) -> Observation:
                        a_star=resp.a_star)
 
 
-def _scale(x) -> float:
-    return max(float(np.max(np.abs(x))), SCALE_FLOOR)
-
-
 def _signed(value: float, scale: float) -> int:
     """Sign with the relative dead band DEAD_BAND; 0 means 'ambiguous'."""
     if abs(value) < DEAD_BAND * scale:
@@ -126,31 +118,24 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo).
     """
     th = obs.theta_share
-    order = tuple(int(i) for i in np.argsort(-(th[:, 0] / th[:, 1])))
+    order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
     perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
-    idx = list(perm)
-    th2 = th[idx, :]
-    if not intensity_ranked(th2):
+    idx = np.array(perm)
+    th = th[idx]
+    if not intensity_ranked(th):
         raise UnsupportedRanking(
             "no relabeling gives strict intensity ratios with the middle "
             "factor used intensively in sector 1; this configuration is out "
             "of scope")
-    w2 = obs.w_star[idx]
-    a2 = obs.a_star[idx, :] if obs.a_star is not None else None
-    a02 = None if a2 is not None else obs.a0_prime[idx]
-    p2 = obs.p_star.copy()
-
-    P = float(p2[0] - p2[1])
+    P = obs.P
     if _signed(P, obs.rate_scale) == 0:
         raise ZeroP("relative goods-price change is zero; nothing to estimate")
-    flipped = False
-    if P < 0 and time_reversal:
-        p2, w2 = -p2, -w2
-        a2 = -a2 if a2 is not None else None
-        a02 = -a02 if a02 is not None else None
-        flipped = True
-    out = Observation(theta_share=th2, theta_good=obs.theta_good,
-                      p_star=p2, w_star=w2, a_star=a2, a0_prime=a02)
+    flipped = P < 0 and time_reversal
+    sign = -1.0 if flipped else 1.0
+    out = Observation(theta_share=th, theta_good=obs.theta_good,
+                      p_star=sign * obs.p_star, w_star=sign * obs.w_star[idx],
+                      a_star=None if obs.a_star is None else sign * obs.a_star[idx],
+                      a0_prime=sign * obs.a0_prime[idx])
     return out, PreprocessInfo(perm, flipped)
 
 
@@ -215,17 +200,15 @@ def theorem1_verdict(obs: Observation) -> Theorem1Verdict:
     except DegenerateObservation:
         failed.append("point B computable")
 
-    if failed or label == "D":
-        # case D: both endpoints in quadrant IV but A right of B; no subregion
-        # machinery applies, so only report it
-        if label == "D" and not failed:
-            bounds = {"s_low": pb.s, "s_high": pa.s, "u_high": pb.u, "u_low": pa.u}
-            return Theorem1Verdict("quadrant IV (case D, reversed bounds)",
-                                   ranking, label, pa, pb, bounds)
+    if failed:
         return Theorem1Verdict("inconclusive", ranking, label, pa, pb, None,
                                tuple(failed))
-    bounds = {"s_low": pa.s, "s_high": pb.s, "u_high": pa.u, "u_low": pb.u}
-    return Theorem1Verdict("quadrant IV", ranking, label, pa, pb, bounds)
+    # case D: both endpoints in quadrant IV but A right of B; no subregion
+    # machinery applies, so only report it
+    verdict, left, right = (("quadrant IV (case D, reversed bounds)", pb, pa)
+                            if label == "D" else ("quadrant IV", pa, pb))
+    bounds = {"s_low": left.s, "s_high": right.s, "u_high": left.u, "u_low": right.u}
+    return Theorem1Verdict(verdict, ranking, label, pa, pb, bounds)
 
 
 @dataclass(frozen=True)
@@ -267,24 +250,22 @@ def corollary1_subregion(obs: Observation, t1v: Theorem1Verdict) -> CorollaryRes
     elif sign_wl_p1 > 0 and _signed(t_1 - s_b, thr_scale) > 0:
         shortcut = "P3"
 
+    side_2 = _signed(s_a - t_2, thr_scale)
+    side_1 = _signed(s_a - t_1, thr_scale)
     chain = None
-    if _signed(s_a - t_2, thr_scale) > 0:
+    if side_2 > 0:
         chain = "P1"
-    elif (_signed(s_a - t_1, thr_scale) > 0
-          and _signed(t_2 - s_b, thr_scale) > 0):
+    elif side_1 > 0 and _signed(t_2 - s_b, thr_scale) > 0:
         chain = "P2"
     elif _signed(t_1 - s_b, thr_scale) > 0:
         chain = "P3"
 
-    # threshold/sign equivalences: t_2 < S'_A <-> w_L* - p_2* < 0 and
-    # t_1 < S'_A <-> w_L* - p_1* < 0 (both follow from the zero-profit rows)
-    mism = []
-    lhs2 = _signed(s_a - t_2, thr_scale)
-    if lhs2 != 0 and sign_wl_p2 != 0 and lhs2 != -sign_wl_p2:
-        mism.append("S'(R_L2) threshold vs sign(w_L* - p_2*)")
-    lhs1 = _signed(s_a - t_1, thr_scale)
-    if lhs1 != 0 and sign_wl_p1 != 0 and lhs1 != -sign_wl_p1:
-        mism.append("S'(R_L1) threshold vs sign(w_L* - p_1*)")
+    # threshold/sign equivalences, from the zero-profit rows: t_j < S'_A <->
+    # w_L* - p_j* < 0; a mismatch is two nonzero signs that agree
+    mism = tuple(f"S'(R_L{j}) threshold vs sign(w_L* - p_{j}*)"
+                 for j, side, sign_wl in ((2, side_2, sign_wl_p2),
+                                          (1, side_1, sign_wl_p1))
+                 if side * sign_wl > 0)
 
     tests = {
         "w_L_minus_p1_sign": sign_wl_p1,
@@ -296,7 +277,7 @@ def corollary1_subregion(obs: Observation, t1v: Theorem1Verdict) -> CorollaryRes
         verdict = shortcut
     else:
         verdict = "ambiguous"
-    return CorollaryResult(verdict, shortcut, chain, tests, tuple(mism))
+    return CorollaryResult(verdict, shortcut, chain, tests, mism)
 
 
 def consistency_checks(obs: Observation) -> dict:

@@ -96,7 +96,8 @@ def vector_line(resp: Response, e: Economy) -> VectorLine:
     """
     a0 = resp.a0_prime
     W = resp.W
-    if abs(W[K, T]) < ZERO_TOL or abs(a0[L]) < ZERO_TOL:
+    band = resp.shock.zero_band
+    if abs(W[K, T]) < band or abs(a0[L]) < band:
         raise DegenerateShock(
             "uniform factor-price change or vanishing a_L0'; vector line undefined")
     tf = e.theta_factor
@@ -187,7 +188,7 @@ def segment_ab(line: VectorLine, resp: Response, e: Economy) -> SegmentAB:
     W, a0 = resp.W, resp.a0_prime
     for name, v in (("W_KL", W[K, L]), ("W_KT", W[K, T]),
                     ("a_T0'", a0[T]), ("a_L0'", a0[L])):
-        if abs(v) < ZERO_TOL:
+        if abs(v) < resp.shock.zero_band:
             raise DegenerateShock(f"{name} = {v:.3e}; segment endpoints undefined")
     roots = line_boundary_intersections(line, e.theta_L_over_K)
     return SegmentAB(endpoint_a(resp.w_star, e.theta_factor),

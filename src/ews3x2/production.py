@@ -453,7 +453,8 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
             ks.append(k)
             drawn.append([])
             for col in theta_share.T.tolist():
-                family = families[rng.integers(len(families))]
+                family = (families[0] if len(families) == 1
+                          else families[rng.integers(len(families))])
                 drawn[n].append((family, col, _draw_params(rng, family, nest)))
             X[n] = rng.uniform(0.5, 2.0, size=2)
             for j, args in enumerate(drawn[n]):

@@ -9,12 +9,13 @@ the ranking and sign-pattern lemmas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AmbiguousSign, SingularSystem
 from .model import Economy, K, L, T, _epsilon, _ews, ews_matrix
-from .tolerances import COND_LIMIT, RESIDUAL_TOL, ZERO_TOL
+from .tolerances import COND_LIMIT, RESIDUAL_TOL, SCALE_FLOOR, ZERO_TOL
 
 
 def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,6 +52,10 @@ def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0] if vectors else x
 
 
+def _scale(x) -> float:
+    return max(float(np.max(np.abs(x))), SCALE_FLOOR)
+
+
 @dataclass(frozen=True)
 class Shock:
     """Exogenous rates of change: goods prices p_star (2,) and endowments v_star (3,)."""
@@ -66,6 +71,12 @@ class Shock:
     def relative_price_change(self) -> float:
         """P = p_1* - p_2*."""
         return float(self.p_star[0] - self.p_star[1])
+
+    @cached_property
+    def zero_band(self) -> float:
+        """ZERO_TOL times the shock's largest rate: the solver side's band in
+        which a rate is zero and two rates tie, whatever the shock's scale."""
+        return ZERO_TOL * _scale(np.concatenate([self.p_star, self.v_star]))
 
     @classmethod
     def price(cls, P: float) -> "Shock":
@@ -210,8 +221,8 @@ def _response(e: Economy, s: Shock, x: np.ndarray, eps: np.ndarray) -> Response:
     return Response(
         shock=s, w_star=w_star, x_star=x_star, a_star=a_star,
         a0_prime=a0_prime, W=W, xyz=xyz, H=H, H0=H0,
-        ranking=ranking_label(xyz),
-        label=sign_label(a0_prime),
+        ranking=ranking_label(xyz, s.zero_band),
+        label=sign_label(a0_prime, s.zero_band),
     )
 
 
@@ -291,11 +302,12 @@ def lemma2_diagnostics(r: Response) -> Lemma2Diagnostics:
     E or F (or any letter under another ranking's exclusion) marks data
     inconsistent with the model assumptions.
     """
-    if any(abs(v) < ZERO_TOL for v in r.a0_prime):
+    band = r.shock.zero_band
+    if any(abs(v) < band for v in r.a0_prime):
         raise AmbiguousSign("an aggregate input-coefficient change is inside "
                             "the dead band; sign letter undefined")
-    agg = sign_label(r.a0_prime)
-    sector = tuple(sign_label(r.a_star[:, j]) for j in range(2))
+    agg = sign_label(r.a0_prime, band)
+    sector = tuple(sign_label(r.a_star[:, j], band) for j in range(2))
     feasible = (r.ranking == "X>Z>Y" and agg in ("A", "B", "C", "D"))
     return Lemma2Diagnostics(agg, sector, feasible, r.ranking)
 

@@ -455,6 +455,40 @@ def test_sweep_reference_csv_digests(tmp_path, seed, constraint, jobs):
     assert digest == SWEEP_DIGESTS[seed, constraint]
 
 
+@pytest.mark.parametrize("cpus,workers", [(64, 3), (2, 2)])
+def test_sweep_starts_no_more_workers_than_chunks_or_cpus(tmp_path, monkeypatch,
+                                                          cpus, workers):
+    # a stand-in pool that records its size and maps in this process, so no
+    # process is started however large --jobs is
+    import concurrent.futures
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    codes = [main(["--out", str(out), "sweep", "--seed", "5", "--count", "3",
+                   "--constraint", "quadrant4", "--jobs", jobs])
+             for out, jobs in ((one, "1"), (many, "64"))]
+    assert codes == [0, 0]
+    assert started == [workers]
+    assert many.read_bytes() == one.read_bytes()
+
+
 @pytest.mark.parametrize("constraint", ["ranked", "quadrant4"])
 def test_sweep_chunk_equals_one_row_commands(tmp_path, constraint):
     whole, one = tmp_path / "whole.csv", tmp_path / "one.csv"

@@ -1,6 +1,10 @@
 """Two-period estimation pipeline: preprocessing, endpoints, quadrant
 verdicts, subregion sign tests, and consistency diagnostics."""
 
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -102,6 +106,45 @@ def test_verdicts_survive_rescaling_rates_by_1e_13():
                        a_star=1e-13 * o.a_star)
     with pytest.raises(m.ZeroP):
         preprocess(flat)
+
+
+def test_verdicts_survive_rescaling_rates_by_1e6():
+    rng = np.random.default_rng(43)
+    quad4 = m.SampleConstraints(ranked=True, quadrant="IV")
+    keys = ("quadrant_verdict", "subregion_verdict", "ranking",
+            "a0_sign_label", "rybczynski", "failed_preconditions")
+    for sample in m.sample_economies(range(700, 760), quad4):
+        e = sample.economy
+        for _ in range(5):
+            shock = Shock(p_star=[1.0, 0.0], v_star=rng.normal(size=3))
+            o = m.observation_from_response(e, m.solve_linear(e, shock))
+            for time_reversal in (False, True):
+                ref = m.run_pipeline(o, time_reversal).to_dict()
+                got = m.run_pipeline(_variant(o, scale=1e6), time_reversal).to_dict()
+                assert [got[key] for key in keys] == [ref[key] for key in keys]
+                for key in ("consistent", "sector_labels"):
+                    assert got["diagnostics"][key] == ref["diagnostics"][key]
+
+
+def test_reports_survive_relabelling_the_factors():
+    # preprocess puts the factors in role order, so under each relabelling the
+    # report is the same but for the input rows that fill the roles
+    rng = np.random.default_rng(44)
+    cons = (m.SampleConstraints(ranked=True),
+            m.SampleConstraints(ranked=True, quadrant="IV"))
+    for k in range(50):
+        e = m.sample_economy(800 + k, cons[k % 2]).economy
+        for sign in (1.0, -1.0, 1.0):
+            shock = Shock(p_star=[1.0, 0.0], v_star=rng.normal(size=3))
+            o = _variant(m.observation_from_response(e, m.solve_linear(e, shock)),
+                         sign=sign)
+            for time_reversal in (False, True):
+                ref = m.run_pipeline(o, time_reversal).to_dict()
+                roles = ref.pop("input_factor_roles")
+                for idx in PERMUTATIONS:
+                    got = m.run_pipeline(_variant(o, idx), time_reversal).to_dict()
+                    assert [idx[i] for i in got.pop("input_factor_roles")] == roles
+                    assert got == ref
 
 
 def test_preprocess_time_reversal(obs0):
@@ -346,3 +389,54 @@ def test_pipeline_subregion_pattern(e0):
             assert rep.rybczynski == [[1, -1, 1], [-1, 1, 1]]
             return
     pytest.fail("sufficient condition never identified P2")
+
+
+# ---------------------------------------------------------------------------
+# Pinned output bytes
+
+PERMUTATIONS = list(itertools.permutations(range(3)))
+
+
+def _variant(o, idx=(0, 1, 2), sign=1.0, scale=1.0, aggregate=False):
+    """`o` with its factor rows taken in the order `idx`, every rate times
+    sign * scale, and only a0_prime when `aggregate`."""
+    idx, c = list(idx), sign * scale
+    return Observation(theta_share=o.theta_share[idx], theta_good=o.theta_good,
+                       p_star=c * o.p_star, w_star=c * o.w_star[idx],
+                       a_star=None if aggregate else c * o.a_star[idx],
+                       a0_prime=c * o.a0_prime[idx] if aggregate else None)
+
+
+def estimate_reference_lines(seeds):
+    """One line per run: the report's JSON, or the typed error's name. Each
+    seed's economy (ranked and quadrant-IV by turns) is observed under
+    p* = (1, 0) and a random v*, in five variants, each run with and
+    without time reversal."""
+    cons = (m.SampleConstraints(ranked=True),
+            m.SampleConstraints(ranked=True, quadrant="IV"))
+    rng = np.random.default_rng(5)
+    for k, seed in enumerate(seeds):
+        e = m.sample_economy(seed, cons[k % 2]).economy
+        shock = Shock(p_star=[1.0, 0.0], v_star=rng.normal(size=3) * 0.3)
+        o = m.observation_from_response(e, m.solve_linear(e, shock))
+        idx = PERMUTATIONS[1 + k % 5]
+        for obs in (o, _variant(o, idx), _variant(o, sign=-1.0),
+                    _variant(o, scale=1e-13, aggregate=True),
+                    _variant(o, idx, sign=-1.0, aggregate=True)):
+            for time_reversal in (False, True):
+                try:
+                    yield json.dumps(m.run_pipeline(obs, time_reversal).to_dict())
+                except m.Ews3x2Error as exc:
+                    yield type(exc).__name__
+
+
+#: sha256 of the report lines of seeds 3000-3099 (numpy 2.4)
+ESTIMATE_DIGEST = (
+    "cfd5a01d2b630ac77510049469b72c529d676ec42cfe5234d9064a40712d552a")
+
+
+def test_estimate_reference_json_digest():
+    h = hashlib.sha256()
+    for line in estimate_reference_lines(range(3000, 3100)):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == ESTIMATE_DIGEST

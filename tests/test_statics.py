@@ -11,6 +11,7 @@ from ews3x2.model import K, L, T
 from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews,
                             hat_system, ranking_label, sign_label,
                             solve_partial_pivot)
+from ews3x2.tolerances import ZERO_TOL
 
 from conftest import mixed_pool
 
@@ -237,6 +238,41 @@ def test_linearity_in_shock_scale(seed, scale):
     r2 = m.solve_linear(e, Shock.price(scale))
     assert np.allclose(r2.w_star, scale * r1.w_star, atol=1e-10)
     assert np.allclose(r2.x_star, scale * r1.x_star, atol=1e-8)
+
+
+def test_zero_band_scales_with_the_shock():
+    assert Shock.price(1.0).zero_band == ZERO_TOL
+    assert Shock.endowment(K, -1.0).zero_band == ZERO_TOL
+    assert Shock([1e-6, 0.0], [0.0, 3e-6, 0.0]).zero_band == ZERO_TOL * 3e-6
+    assert Shock(np.zeros(2), np.zeros(3)).zero_band > 0.0
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except m.Ews3x2Error as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("P", [1e-13, 1e-6, 1.0, 1e6])
+def test_solver_verdicts_survive_rescaling_the_shock(P):
+    # the solver side's zero and tie bands are relative to the shock's
+    # largest rate, so a rescaled shock scales every response linearly and
+    # moves no ranking, sign letter, Lemma 2 diagnostic or vector-line slope
+    for e in mixed_pool(90, 50):
+        ref = m.solve_linear(e, Shock.price(1.0))
+        r = m.solve_linear(e, Shock.price(P))
+        for got, want in ((r.w_star, ref.w_star), (r.x_star, ref.x_star),
+                          (r.a_star, ref.a_star)):
+            assert np.allclose(got, P * want, rtol=1e-9,
+                               atol=1e-9 * P * np.abs(want).max())
+        assert (r.ranking, r.label) == (ref.ranking, ref.label)
+        assert _outcome(m.lemma2_diagnostics, r) == _outcome(m.lemma2_diagnostics, ref)
+        line, ref_line = _outcome(m.vector_line, r, e), _outcome(m.vector_line, ref, e)
+        if isinstance(ref_line, str):
+            assert line == ref_line
+        else:
+            assert line.a1 == pytest.approx(ref_line.a1, rel=1e-9)
 
 
 def test_all_four_rankings_reachable():
