@@ -71,6 +71,12 @@ class Observation:
         rates = (self.p_star, self.w_star, self.a0_prime, a)
         return _scale(np.concatenate(rates, axis=None))
 
+    @cached_property
+    def labels(self) -> tuple:
+        """(ranking of xyz, sign letter of a0_prime) in the dead band."""
+        band = DEAD_BAND * self.rate_scale
+        return ranking_label(self.xyz, tol=band), sign_label(self.a0_prime, band)
+
     @classmethod
     def from_dict(cls, d: dict) -> "Observation":
         return cls(theta_share=d["theta_share"], theta_good=d["theta_good"],
@@ -180,13 +186,11 @@ def theorem1_verdict(obs: Observation) -> Theorem1Verdict:
     in quadrant IV, A left of B, and the ratio vector is bracketed by them.
     """
     failed = []
-    scale = obs.rate_scale
-    if _signed(obs.P, scale) <= 0:
+    ranking, label = obs.labels
+    if _signed(obs.P, obs.rate_scale) <= 0:
         failed.append("relative price change P > 0")
-    ranking = ranking_label(obs.xyz, tol=DEAD_BAND * scale)
     if ranking != "X>Z>Y":
         failed.append(f"factor-price-change ranking X>Z>Y (got {ranking})")
-    label = sign_label(obs.a0_prime, dead_band=DEAD_BAND * scale)
     if label != "C" and label != "D":
         failed.append(f"aggregate sign pattern (+, +, -) (got label {label})")
 
@@ -313,10 +317,7 @@ def consistency_checks(obs: Observation) -> dict:
             if _signed(float(H[j]), scale * scale) > 0:
                 failures.append(f"H_{j+1} > 0")
 
-    ranking = ranking_label(obs.xyz, tol=DEAD_BAND * scale)
-    out["ranking"] = ranking
-    agg = sign_label(obs.a0_prime, dead_band=DEAD_BAND * scale)
-    out["a0_label"] = agg
+    out["ranking"], out["a0_label"] = ranking, agg = obs.labels
     if ranking == "X>Z>Y" and agg in ("E", "F"):
         failures.append(f"aggregate sign label {agg} excluded under ranking X>Z>Y")
     if obs.a_star is not None:

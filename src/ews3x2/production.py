@@ -22,8 +22,25 @@ from .statics import solve_partial_pivot
 from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL, STRUCT_TOL
 
 
+class _CostFamily:
+    """Allen elasticities from a family's cross (off-diagonal) elasticities."""
+
+    def aes(self, w, cost=None):
+        """`cross_aes(w, (c, a))` (..., 3, 3), its diagonal set so that every
+        share-weighted row sums to zero; (c, a) is `cost` or unit_cost(w)."""
+        w = np.asarray(w, dtype=float)
+        c, a = self.unit_cost(w) if cost is None else cost
+        sig = np.broadcast_to(self.cross_aes(w, (c, a)), w.shape + (3,))
+        return _fill_aes_diagonal(sig, self._shares(w, c, a))
+
+    @staticmethod
+    def _shares(w, c, a):
+        """Distributive shares a_i w_i / (a . w) over the last axis."""
+        return a * w / np.vecdot(a, w, keepdims=True)
+
+
 @dataclass(frozen=True)
-class CobbDouglas:
+class CobbDouglas(_CostFamily):
     """c(w) = prod_i w_i^alpha[i], alpha on the simplex."""
 
     form = "cobb_douglas"
@@ -37,14 +54,12 @@ class CobbDouglas:
         c = (w ** self.alpha).prod(axis=-1)
         return c, self.alpha * c[..., None] / w
 
-    def aes(self, w, cost=None):
-        w = np.asarray(w, dtype=float)
-        _, a = self.unit_cost(w) if cost is None else cost
-        return _fill_aes_diagonal(np.ones(w.shape + (3,)), _shares(w, a))
+    def cross_aes(self, w, cost):
+        return 1.0
 
 
 @dataclass(frozen=True)
-class Ces:
+class Ces(_CostFamily):
     """c(w) = (sum_i delta[i] w_i^(1-s))^(1/(1-s)), s > 0, s != 1."""
 
     form = "ces"
@@ -64,14 +79,12 @@ class Ces:
         a = c[..., None] * self.delta * w ** (rho - 1.0) / base[..., None]
         return c, a
 
-    def aes(self, w, cost=None):
-        w = np.asarray(w, dtype=float)
-        _, a = self.unit_cost(w) if cost is None else cost
-        return _fill_aes_diagonal(np.full(w.shape + (3,), self.s), _shares(w, a))
+    def cross_aes(self, w, cost):
+        return self.s
 
 
 @dataclass(frozen=True)
-class TwoLevelCes:
+class TwoLevelCes(_CostFamily):
     """Nested CES: composite M = CES_{s_in}(nest pair), then
     c = CES_{s_out}(M, remaining factor).
 
@@ -125,20 +138,17 @@ class TwoLevelCes:
         at[i2] = a_m * self.mu[1] * wt[i2] ** (rin - 1.0) * q / base_in
         return c.T, at.T
 
-    def aes(self, w, cost=None):
-        w = np.asarray(w, dtype=float)
-        c, a = self.unit_cost(w) if cost is None else cost
-        st = (a * w).T / c.T
+    def cross_aes(self, w, cost):
+        st = self._shares(w, *cost).T
         i1, i2 = self.nest
-        sig = np.full(w.shape + (3,), self.s_out)
+        sig = np.full(np.shape(w) + (3,), self.s_out)
         sig.T[i1, i2] = sig.T[i2, i1] = (
             self.s_out + (self.s_in - self.s_out) / (st[i1] + st[i2]))
-        return _fill_aes_diagonal(sig, st.T)
+        return sig
 
-
-def _shares(w, a):
-    """Distributive shares a_i w_i / (a . w) over the last axis."""
-    return a * w / np.vecdot(a, w, keepdims=True)
+    @staticmethod
+    def _shares(w, c, a):
+        return a * w / c[..., None]  # over the unit cost itself
 
 
 #: the cost-function families, by the names `calibrated_spec` takes
@@ -243,17 +253,16 @@ def _system(specs, p, V, w, X):
 
 
 def _jacobian(specs, w, X, a, c):
-    """Newton Jacobian of `_system` in (w, X), from the (c, a) it returned."""
+    """Newton Jacobian of `_system` in (w, X), from the (c, a) it returned:
+    d(a X)/dw is the cost Hessian sum_j (X_j / c_j) a_ij a_hj sigma_jih off
+    the diagonal (Allen-Uzawa), and a's homogeneity in w sets the diagonal."""
     jac = np.zeros(w.shape[:-1] + (5, 5))
     jac[..., :2, :3] = a.swapaxes(-1, -2)
     jac[..., 2:, 3:] = a
-    for j in range(2):
-        a_j = a[..., j]
-        sig = specs[j].aes(w, (c[..., j], a_j))
-        # da_ij/dw_h = a_ij * theta_hj * sigma_ihj / w_h
-        jac[..., 2:, :3] += (X[..., j, None, None] * a_j[..., :, None]
-                             * _shares(w, a_j)[..., None, :] * sig
-                             / w[..., None, :])
+    ak = a * (X / c)[..., None, :]
+    hessian = sum(ak[..., :, None, j] * a[..., None, :, j]
+                  * specs[j].cross_aes(w, (c[..., j], a[..., j])) for j in range(2))
+    jac[..., 2:, :3] = _fill_aes_diagonal(hessian, w)
     return jac
 
 

@@ -440,3 +440,51 @@ def test_estimate_reference_json_digest():
     for line in estimate_reference_lines(range(3000, 3100)):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == ESTIMATE_DIGEST
+
+
+def corollary_reference_lines():
+    """One line per run, as in `estimate_reference_lines`, over crafted
+    observations of one P1, one P2 and one P3 economy: 40 quadrant-IV
+    observations each, taken as they are, permuted and negated under time
+    reversal, shrunk to 1e-13 as aggregates, and with p_2* (then p_1*)
+    reflected about w_L*, which breaks a threshold/sign equivalence."""
+    for region, seed in (("P1", 11), ("P2", 12), ("P3", 13)):
+        rng = np.random.default_rng(seed)
+        e = near_boundary_economy(rng, region, fires=True)
+        for k, o in enumerate(crafted_case_observations(
+                e, rng, 40, require_verdict="quadrant IV")):
+            w, p = o.w_star, o.p_star
+            flip_2 = Observation(o.theta_share, o.theta_good,
+                                 [p[0], 2 * w[L] - p[1]], w, o.a_star)
+            flip_1 = Observation(o.theta_share, o.theta_good,
+                                 [2 * w[L] - p[0], p[1]], w, o.a_star)
+            for obs, time_reversal in (
+                    (o, False),
+                    (_variant(o, PERMUTATIONS[1 + k % 5], sign=-1.0), True),
+                    (_variant(o, scale=1e-13, aggregate=True), False),
+                    (flip_2, False), (flip_1, True)):
+                try:
+                    yield json.dumps(m.run_pipeline(obs, time_reversal).to_dict())
+                except m.Ews3x2Error as exc:
+                    yield type(exc).__name__
+
+
+#: sha256 of `corollary_reference_lines()` (numpy 2.4)
+COROLLARY_DIGEST = (
+    "3e68d47420dc331ee09985726a03081b21de7472b5ff9623748001a78c4642a1")
+
+
+def test_corollary_reference_json_digest():
+    h = hashlib.sha256()
+    verdicts = set()
+    mismatches = 0
+    for line in corollary_reference_lines():
+        h.update(line.encode() + b"\n")
+        if line.startswith("{"):
+            report = json.loads(line)
+            verdicts.add(report["subregion_verdict"])
+            mismatches += bool(report["corollary"] and
+                               report["corollary"]["equivalence_mismatches"])
+    # the decisive branches and the mismatch messages are all reached
+    assert {"P1", "P2", "P3", "ambiguous"} <= verdicts and mismatches > 0
+    assert h.hexdigest() == COROLLARY_DIGEST

@@ -247,9 +247,13 @@ FAMILY_KW = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_KW))
-def test_jacobian_matches_central_differences(family):
-    specs = tuple(m.calibrated_spec(family, col, **FAMILY_KW[family])
+@pytest.mark.parametrize("family, nest", [
+    *(pytest.param(family, None, id=family) for family in sorted(FAMILY_KW)),
+    pytest.param("two_level_ces", (T, L), id="two_level_ces-TL"),
+    pytest.param("two_level_ces", (K, L), id="two_level_ces-KL")])
+def test_jacobian_matches_central_differences(family, nest):
+    kw = dict(FAMILY_KW[family], **({} if nest is None else {"nest": nest}))
+    specs = tuple(m.calibrated_spec(family, col, **kw)
                   for col in ([0.45, 0.2, 0.35], [0.2, 0.5, 0.3]))
     p, V = np.ones(2), np.array([1.1, 0.9, 1.3])
     # off the calibrated point w = (1, 1, 1)
@@ -265,17 +269,36 @@ def test_jacobian_matches_central_differences(family):
         fd[:, k] = (_system(specs, p, V, zp[:3], zp[3:])[0]
                     - _system(specs, p, V, zm[:3], zm[3:])[0]) / (2 * h)
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
-    # the element-by-element form, same arithmetic order
+    # the element-by-element form, same arithmetic order: the cost Hessian
+    # (X_j / c_j) a_ij a_hj sigma_jih off the diagonal, then the diagonal
+    # that makes each row times w zero
+    w = z[:3]
     ref = np.zeros((5, 5))
     ref[:2, :3], ref[2:, 3:] = a.T, a
     for j in range(2):
-        sig = specs[j].aes(z[:3])
-        shares = a[:, j] * z[:3] / float(a[:, j] @ z[:3])
+        sig = specs[j].aes(w)
         for i in range(3):
             for h in range(3):
-                ref[2 + i, h] += (z[3 + j] * a[i, j] * shares[h] * sig[i, h]
-                                  / z[h])
+                if h != i:
+                    ref[2 + i, h] += (a[i, j] * (z[3 + j] / c[j]) * a[h, j]
+                                      * sig[i, h])
+    for i in range(3):
+        ref[2 + i, i] = -sum(ref[2 + i, h] * w[h] for h in range(3)
+                             if h != i) / w[i]
     assert np.array_equal(jac, ref)
+    # the form it replaced: da_ij/dw_h = a_ij * theta_hj * sigma_ihj / w_h
+    old = np.zeros((5, 5))
+    old[:2, :3], old[2:, 3:] = a.T, a
+    for j in range(2):
+        sig = specs[j].aes(w)
+        shares = a[:, j] * w / float(a[:, j] @ w)
+        for i in range(3):
+            for h in range(3):
+                old[2 + i, h] += (z[3 + j] * a[i, j] * shares[h] * sig[i, h]
+                                  / w[h])
+    assert np.abs(jac - old).max() <= 1e-13 * np.abs(old).max()
+    block = jac[2:, :3]
+    assert np.abs(block @ w).max() <= 1e-14 * np.abs(block).max() * w.max()
 
 
 def test_fill_aes_diagonal_equals_loop_reference():
@@ -320,7 +343,8 @@ def test_fd_rybczynski_batch_equals_solo_solves():
 
 
 class CountingSpec:
-    """Counts residual evaluations (unit_cost) and Newton iterations (aes)."""
+    """Counts residual evaluations (unit_cost) and Newton iterations
+    (cross_aes, once per Jacobian)."""
 
     def __init__(self, spec):
         self.spec, self.costs, self.iterations = spec, 0, 0
@@ -329,9 +353,9 @@ class CountingSpec:
         self.costs += 1
         return self.spec.unit_cost(w)
 
-    def aes(self, w, cost=None):
+    def cross_aes(self, w, cost):
         self.iterations += 1
-        return self.spec.aes(w, cost)
+        return self.spec.cross_aes(w, cost)
 
 
 def test_newton_batch_members_take_their_solo_steps():
@@ -362,6 +386,30 @@ def test_newton_batch_members_take_their_solo_steps():
         solo = m.solve_equilibrium(s.specs, eq.p, V[k], w0=w0[k], x0=x0[k])
         np.testing.assert_allclose(X[k], solo.X, rtol=1e-10)
         np.testing.assert_allclose(w[k], solo.w, rtol=1e-10)
+
+
+#: seeds of 2024-2323 whose cold far-start solve raised NonConvergence when
+#: this guard was written
+FAR_START_FAILURES = {2036, 2064, 2074, 2101, 2108, 2137, 2146, 2167, 2179,
+                      2193, 2258, 2290, 2297}
+
+
+def test_far_start_failures_do_not_grow():
+    # the oracle workload's cold solve: a change to the Newton step may shrink
+    # the failing set, never add to it
+    samples = m.sample_economies(range(2024, 2324),
+                                 m.SampleConstraints(ranked=True))
+    failed = set()
+    for s in samples:
+        eq = s.equilibrium
+        try:
+            cold = m.solve_equilibrium(s.specs, eq.p, eq.V, w0=[1.5, 0.7, 1.2],
+                                       x0=[0.8, 1.5])
+        except m.NonConvergence:
+            failed.add(s.seed)
+            continue
+        np.testing.assert_allclose(cold.w, eq.w, rtol=1e-8)
+    assert failed <= FAR_START_FAILURES
 
 
 CD_SPECS = (m.calibrated_spec("cobb_douglas", [0.45, 0.2, 0.35]),
