@@ -217,45 +217,53 @@ SWEEP_HEADER = [
 #: candidate arrays, about 7 kB, so this bounds a sweep's memory
 SWEEP_CHUNK = 128
 
+#: a sweep row's shock, p* = (1, 0), and the right-hand sides of its hat-systems
+_SHOCK = statics.Shock.price(1.0)
+_SWEEP_RHS = np.column_stack([np.concatenate([_SHOCK.p_star, _SHOCK.v_star]),
+                              statics._ENDOWMENT_RHS])[None]
+
 
 def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
     """CSV rows first_index, first_index + 1, ... for the seeds, computed as
-    one batch. On a typed error the rows are recomputed one at a time, so
-    the error that surfaces is the first failing row's own."""
+    one batch: one hat-system solve, EWS ratio and subregion pass over the
+    chunk's arrays. On a typed error the rows are recomputed one at a time,
+    so the error that surfaces is the first failing row's own."""
     cons = production.SampleConstraints(
         ranked=True, quadrant="IV" if constraint == "quadrant4" else None)
     try:
         samples = production.sample_economies(seeds, cons)
-        points = []
-        for sample in samples:
-            e = sample.economy
-            p = model.ews_ratio_vector(model.ews_matrix(e))
-            points.append((p, geometry.quadrant(p)[0],
-                           geometry.classify_subregion(p, e)))
-        solved = statics.responses_and_rybczynski(
-            [sample.economy for sample in samples], statics.Shock.price(1.0))
+        economies = [sample.economy for sample in samples]
+        th, la, sigma, tf = (np.array([getattr(e, f) for e in economies]) for f in
+                             ("theta_share", "lambda_share", "sigma", "theta_factor"))
+        x, eps = statics._solve_hats(th, la, sigma, _SWEEP_RHS)
+        g = model._ews(la, eps)
+        s, u = model._ews_ratios(g)
+        for n in np.flatnonzero(np.isnan(s))[:1]:  # raises: row n has no ratio point
+            model.ews_ratio_vector(model.EwsMatrix(g[n], tf[n]))
+        quads, codes = geometry._subregions(s, u, th, tf)
     except Ews3x2Error:
         if len(seeds) == 1:
             raise
         return [row for k, seed in enumerate(seeds)
                 for row in _sweep_rows(first_index + k, [seed], constraint)]
+    xyz = (x[:, :3, 0] - _SHOCK.p_star[0]).tolist()
+    signs = np.sign(x[:, 3:, 1:]).reshape(-1, 6).tolist()
+    cols = th.transpose(0, 2, 1).reshape(-1, 6).tolist()
     rows = []
-    for k, (sample, (p, quad, label), (resp, (_, signs))) in enumerate(
-            zip(samples, points, solved)):
+    for k, (q, c, sk, uk) in enumerate(zip(quads.tolist(), codes.tolist(),
+                                           s.tolist(), u.tolist())):
+        label = geometry._LABELS[c]
+        ranking = statics.ranking_label(xyz[k], _SHOCK.zero_band)
         agrees = ""
-        ok = resp.ranking in statics.RANKINGS_UNDER_ASSUMPTIONS
+        ok = ranking in statics.RANKINGS_UNDER_ASSUMPTIONS
         if label in geometry.RYBCZYNSKI_PATTERNS:
-            agrees = bool(np.array_equal(geometry.rybczynski_pattern(label), signs))
+            agrees = signs[k] == geometry.RYBCZYNSKI_PATTERNS[label].ravel().tolist()
             ok = ok and agrees
-        th = sample.economy.theta_share
-        fams = [s.form for s in sample.specs]
         rows.append([
-            first_index + k, seeds[k], fams[0], fams[1],
-            f"{th[0, 0]:.12g}", f"{th[1, 0]:.12g}", f"{th[2, 0]:.12g}",
-            f"{th[0, 1]:.12g}", f"{th[1, 1]:.12g}", f"{th[2, 1]:.12g}",
-            f"{p.s:.12g}", f"{p.u:.12g}", quad.value, label.value, resp.ranking,
-            "".join("+" if v > 0 else "-" for v in signs.flatten()),
-            agrees, ok,
+            first_index + k, seeds[k], *(spec.form for spec in samples[k].specs),
+            *(f"{v:.12g}" for v in cols[k]), f"{sk:.12g}", f"{uk:.12g}",
+            geometry._QUADRANTS[q].value, label.value, ranking,
+            "".join("+" if v > 0 else "-" for v in signs[k]), agrees, ok,
         ])
     return rows
 
@@ -263,6 +271,9 @@ def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
 def cmd_sweep(args) -> int:
     if args.seed is None:
         return _fail_io("--seed is mandatory for sweep (reproducibility)")
+    for name, low in (("seed", 0), ("count", 0), ("jobs", 1)):
+        if getattr(args, name) < low:
+            return _fail_io(f"--{name} must be >= {low}, not {getattr(args, name)}")
     seeds = [args.seed + k for k in range(args.count)]
     # one chunk at --jobs 1, about four chunks per worker otherwise, and
     # never more than SWEEP_CHUNK rows

@@ -18,14 +18,16 @@ from .tolerances import (BORDER_TOL, CHORD_TOL, DISCRIMINANT_TOL, SLOPE_TOL,
                          ZERO_TOL)
 
 
-def boundary_u(s: float, theta_L_over_K: float) -> float:
-    """U' on the boundary hyperbola at abscissa S'.
+def boundary_u(s, theta_L_over_K):
+    """U' on the boundary hyperbola at abscissa S', a float or an array.
 
     U' = -(theta_L/theta_K) * S'/(S'+1): passes through the origin, vertical
     asymptote S' = -1, horizontal asymptote U' = -theta_L/theta_K.
     """
-    if abs(s + 1.0) < ZERO_TOL:
-        raise AsymptoteHit(f"boundary evaluated at S' = {s} (asymptote S' = -1)")
+    hit = abs(np.add(s, 1.0)) < ZERO_TOL
+    if hit.any():
+        raise AsymptoteHit(f"boundary evaluated at S' = {np.extract(hit, s)[0]} "
+                           "(asymptote S' = -1)")
     return -theta_L_over_K * s / (s + 1.0)
 
 
@@ -195,21 +197,27 @@ def segment_ab(line: VectorLine, resp: Response, e: Economy) -> SegmentAB:
                      endpoint_b(a0, e.theta_factor), line, roots)
 
 
+def _point_q(th, r, where=True) -> tuple:
+    """(S', U') arrays (n,) of Q for shares th (n, 3, 2) and theta_L/theta_K
+    ratios r (n,); raises DegenerateShares at the first row of `where` at
+    which Q is undefined."""
+    da, db, de = (th[..., 0] - th[..., 1]).T
+    bad = ((abs(da) < ZERO_TOL) | (abs(de) < ZERO_TOL)) & where
+    if bad.any():
+        n = bad.argmax()
+        raise DegenerateShares(f"share differences (A, E) = ({da[n]:.3e}, "
+                               f"{de[n]:.3e}) vanish; Q undefined")
+    return db / da, db / de * r
+
+
 def point_q(e: Economy) -> RatioPoint:
     """Common intersection point of the subregion border lines.
 
     Q = (B/A, (B/E)(theta_L/theta_K)) with (A, B, E) the between-sector share
     differences of (T, K, L); under the intensity ranking Q is in quadrant III.
     """
-    th = e.theta_share
-    da = th[T, 0] - th[T, 1]
-    db = th[K, 0] - th[K, 1]
-    de = th[L, 0] - th[L, 1]
-    if abs(da) < ZERO_TOL or abs(de) < ZERO_TOL:
-        raise DegenerateShares(
-            f"share differences (A, E) = ({da:.3e}, {de:.3e}) vanish; Q undefined")
-    r = e.theta_L_over_K
-    return RatioPoint(float(db / da), float(db / de * r), r)
+    s, u = _point_q(e.theta_share[None], np.array([e.theta_L_over_K]))
+    return RatioPoint(float(s[0]), float(u[0]), e.theta_L_over_K)
 
 
 def r_thresholds(theta_share) -> tuple:
@@ -219,6 +227,12 @@ def r_thresholds(theta_share) -> tuple:
     return float(th[K, 0] / th[T, 0]), float(th[K, 1] / th[T, 1])
 
 
+def _points_r(th, r) -> tuple:
+    """(S', U') arrays (n, 2) of R_L1 and R_L2 for shares th (n, 3, 2) and
+    theta_L/theta_K ratios r (n,)."""
+    return th[:, K] / th[:, T], -th[:, K] / (1.0 - th[:, L]) * r[:, None]
+
+
 def points_r(e: Economy) -> tuple:
     """Boundary points R_L1 and R_L2 delimiting the quadrant-IV subregions.
 
@@ -226,13 +240,9 @@ def points_r(e: Economy) -> tuple:
     both satisfy the boundary equation identically, and the intensity
     ranking puts R_L1 left of R_L2.
     """
-    th = e.theta_share
-    r = e.theta_L_over_K
-    pts = []
-    for j, s in enumerate(r_thresholds(th)):
-        u = -th[K, j] / (1.0 - th[L, j]) * r
-        pts.append(RatioPoint(s, float(u), r))
-    return tuple(pts)
+    s, u = _points_r(e.theta_share[None], np.array([e.theta_L_over_K]))
+    return tuple(RatioPoint(float(s[0, j]), float(u[0, j]), e.theta_L_over_K)
+                 for j in range(2))
 
 
 class SubregionLabel(enum.Enum):
@@ -246,58 +256,52 @@ class SubregionLabel(enum.Enum):
     BOUNDARY = "boundary"
 
 
-_QUADRANT_TO_LABEL = {
-    Quadrant.I: SubregionLabel.QUAD_I,
-    Quadrant.II: SubregionLabel.QUAD_II,
-    Quadrant.III: SubregionLabel.QUAD_III,
-    Quadrant.BOUNDARY: SubregionLabel.BOUNDARY,
-}
+#: the labels that `_subregions` codes index, and the quadrants it codes
+_LABELS, _QUADRANTS = tuple(SubregionLabel), tuple(Quadrant)
+#: label code of the points in each of _QUADRANTS; quadrant IV's is on a border
+_QUADRANT_CODES = np.array([_LABELS.index(SubregionLabel[name]) for name in
+                            ("QUAD_I", "QUAD_II", "QUAD_III", "BOUNDARY", "BOUNDARY")])
+#: label code of a quadrant-IV point by 2 * (on the P1 side) + (on the P3 side)
+_SIDE_CODES = np.array([_LABELS.index(SubregionLabel[name]) for name in
+                        ("P2", "P3", "P1", "QUAD_IV_UNCLASSIFIED")])
 
 
-def _line_side(q: RatioPoint, r: RatioPoint, p) -> float:
-    """Signed cross product of (r - q) with (p - q); sign picks the side."""
-    ps, pu = (p.s, p.u) if isinstance(p, RatioPoint) else p
-    return (r.s - q.s) * (pu - q.u) - (r.u - q.u) * (ps - q.s)
+def _subregions(s, u, th, tf) -> tuple:
+    """Quadrant and subregion codes, into _QUADRANTS and _LABELS, of ratio points
+    (s, u) (n,) of economies with shares th (n, 3, 2) and theta_factor tf (n, 3).
 
-
-def _border_distance(q: RatioPoint, r: RatioPoint, p) -> float:
-    return abs(_line_side(q, r, p)) / math.hypot(r.s - q.s, r.u - q.u)
+    The border lines run through Q and R_L1 (P2/P3) and through Q and R_L2
+    (P1/P2); a point within BORDER_TOL of either is on the boundary. Sides are
+    calibrated against boundary points just outside the R thresholds, so that
+    on-boundary points keep the order P3 < S'(R_L1) < P2 < S'(R_L2) < P1. Only
+    quadrant-IV rows need Q, and raise DegenerateShares where it is undefined.
+    """
+    quads = np.full(s.shape, 4)  # Quadrant.BOUNDARY, unless in a quadrant
+    for k, q in enumerate(_QUADRANTS[:4]):
+        quads[in_quadrant(s, u, q.name)] = k
+    if not (iv := quads == 3).any():  # Quadrant.IV
+        return quads, _QUADRANT_CODES[quads]
+    r = tf[:, L] / tf[:, K]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qs, qu = (v[:, None] for v in _point_q(th, r, iv))
+        rs, ru = _points_r(th, r)
+        ds, du = rs - qs, ru - qu
+        side = ds * (u[:, None] - qu) - du * (s[:, None] - qs)
+        keep = iv & ~(abs(side) / np.hypot(ds, du) < BORDER_TOL).any(axis=1)
+        # calibration abscissas just left of S'(R_L1) and right of S'(R_L2),
+        # needed only for the quadrant-IV points off both borders
+        ref_s = np.where(keep[:, None], rs * (1.0 - 1e-3, 1.0 + 1e-3), 0.0)
+        ref_u = boundary_u(ref_s, r[:, None])
+        p3, p1 = (side * (ds * (ref_u - qu) - du * (ref_s - qs)) > 0).T
+    return quads, np.where(keep, _SIDE_CODES[2 * p1 + p3], _QUADRANT_CODES[quads])
 
 
 def classify_subregion(p: RatioPoint, e: Economy) -> SubregionLabel:
-    """Quadrant-IV subregion of a ratio point (P1/P2/P3), or its quadrant.
-
-    The two border lines run through Q and R_L2 (P1/P2 border) and through Q
-    and R_L1 (P2/P3 border). Side orientation is calibrated against boundary
-    points just outside the R thresholds, so that on-boundary points
-    reproduce the S'-threshold ordering P3 < S'(R_L1) < P2 < S'(R_L2) < P1.
-    """
-    quad, _ = quadrant(p)
-    if quad is not Quadrant.IV:
-        return _QUADRANT_TO_LABEL[quad]
-    q = point_q(e)
-    r_l1, r_l2 = points_r(e)
-    r = e.theta_L_over_K
-
-    if (_border_distance(q, r_l2, p) < BORDER_TOL
-            or _border_distance(q, r_l1, p) < BORDER_TOL):
-        return SubregionLabel.BOUNDARY
-
-    # calibration points on the boundary curve just beyond each threshold
-    s1 = r_l2.s * (1.0 + 1e-3)
-    ref_p1 = (s1, boundary_u(s1, r))
-    s3 = r_l1.s * (1.0 - 1e-3)
-    ref_p3 = (s3, boundary_u(s3, r))
-
-    on_p1_side = _line_side(q, r_l2, p) * _line_side(q, r_l2, ref_p1) > 0
-    on_p3_side = _line_side(q, r_l1, p) * _line_side(q, r_l1, ref_p3) > 0
-    if on_p1_side and on_p3_side:
-        return SubregionLabel.QUAD_IV_UNCLASSIFIED
-    if on_p1_side:
-        return SubregionLabel.P1
-    if on_p3_side:
-        return SubregionLabel.P3
-    return SubregionLabel.P2
+    """Quadrant-IV subregion of a ratio point (P1/P2/P3), or its quadrant:
+    `_subregions` of one point."""
+    _, codes = _subregions(np.array([p.s]), np.array([p.u]),
+                           e.theta_share[None], e.theta_factor[None])
+    return _LABELS[codes[0]]
 
 
 #: subregion -> Rybczynski sign matrix, rows = goods (1, 2), cols = (V_T, V_K, V_L)

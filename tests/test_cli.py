@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.cli import main
+from ews3x2.cli import SWEEP_HEADER, main
 from ews3x2.statics import Shock
 
 @pytest.fixture()
@@ -512,23 +512,71 @@ def test_sweep_reports_the_first_failing_row(tmp_path, capsys, monkeypatch):
     seed = 40
     row3 = m.sample_economy(seed + 3, m.SampleConstraints(ranked=True)).economy
     sample = cli.production.sample_economies
-    solve = cli.statics.responses_and_rybczynski
+    solve = cli.statics._solve_hats
 
     def sampler(seeds, *args):
         if seed + 5 in seeds:
             raise m.ExhaustedRejection("row 5 has no economy")
         return sample(seeds, *args)
 
-    def statics(economies, *args):
-        if any(np.array_equal(e.theta_share, row3.theta_share) for e in economies):
+    def statics(th, *args):
+        if any(np.array_equal(t, row3.theta_share) for t in th):
             raise m.SingularSystem("row 3 is singular")
-        return solve(economies, *args)
+        return solve(th, *args)
 
     monkeypatch.setattr(cli.production, "sample_economies", sampler)
-    monkeypatch.setattr(cli.statics, "responses_and_rybczynski", statics)
+    monkeypatch.setattr(cli.statics, "_solve_hats", statics)
     assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
                  "--count", "8"]) == 1
     assert capsys.readouterr().err == "error: row 3 is singular\n"
+
+
+def test_sweep_reports_a_degenerate_quadrant_iv_row_through_the_fallback(
+        tmp_path, capsys, monkeypatch):
+    # row 3's economy has equal land shares in both sectors (A = 0) and its
+    # ratio point in quadrant IV, so Q is undefined; row 5's sampler fails
+    # first in the batched pass, and the row-by-row rerun reports row 3
+    import dataclasses
+    import ews3x2.cli as cli
+    from conftest import economy_with_point
+    seed = 40
+    flat = economy_with_point([[0.3, 0.3], [0.2, 0.45], [0.5, 0.25]],
+                              [0.5, 0.5], 1.0, -0.1)
+    with pytest.raises(m.DegenerateShares) as scalar:
+        m.classify_subregion(m.ews_ratio_vector(m.ews_matrix(flat)), flat)
+    sample = cli.production.sample_economies
+
+    def sampler(seeds, *args):
+        if seed + 5 in seeds:
+            raise m.ExhaustedRejection("row 5 has no economy")
+        return [dataclasses.replace(s, economy=flat) if s.seed == seed + 3 else s
+                for s in sample(seeds, *args)]
+
+    monkeypatch.setattr(cli.production, "sample_economies", sampler)
+    assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
+                 "--count", "8"]) == 1
+    assert capsys.readouterr().err == f"error: {scalar.value}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1", "--count", "2"], "--seed must be >= 0, not -1"),
+    (["--seed", "-1", "--count", "2", "--jobs", "2"], "--seed must be >= 0, not -1"),
+    (["--seed", "1", "--count", "-3"], "--count must be >= 0, not -3"),
+    (["--seed", "1", "--count", "2", "--jobs", "0"], "--jobs must be >= 1, not 0"),
+    (["--seed", "1", "--count", "2", "--jobs", "-4"], "--jobs must be >= 1, not -4"),
+])
+def test_sweep_rejects_arguments_that_make_no_sense(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.csv"
+    assert main(["--out", str(out), "sweep"] + argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_of_no_rows_writes_the_header(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["--out", str(out), "sweep", "--seed", "1", "--count", "0"]) == 0
+    assert out.read_text() == ",".join(SWEEP_HEADER) + "\n"
 
 
 def test_sweep_overwrites_a_longer_file_exactly(tmp_path):

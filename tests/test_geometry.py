@@ -1,18 +1,22 @@
 """Ratio-plane geometry: boundary curve, vector line, segment AB, special
 points, and the subregion classification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.geometry import (RYBCZYNSKI_PATTERNS, in_quadrant,
+from ews3x2.geometry import (_LABELS, _QUADRANTS, RYBCZYNSKI_PATTERNS,
+                             _subregions, in_quadrant,
                              line_boundary_intersections)
 from ews3x2.model import K, L, T, RatioPoint
 from ews3x2.statics import Shock
+from ews3x2.tolerances import BORDER_TOL, ZERO_TOL
 
-from conftest import near_boundary_economy
+from conftest import mixed_pool, near_boundary_economy
 
 R0 = 0.325 / 0.35  # theta_L / theta_K of the reference economy
 
@@ -250,3 +254,129 @@ def test_rybczynski_pattern_table():
     assert RYBCZYNSKI_PATTERNS[m.SubregionLabel.P1][0, 0] == 1
     with pytest.raises(m.UnmappedRegion):
         m.rybczynski_pattern(m.SubregionLabel.QUAD_I)
+
+
+# ---------------------------------------------------------------------------
+# The subregion kernel against the scalar classification it replaced
+
+
+def _reference_subregion(p, e):
+    """The point-at-a-time classification that the array kernel replaced,
+    kept verbatim in substance as the reference the kernel must reproduce."""
+    quad, _ = m.quadrant(p)
+    if quad is not m.Quadrant.IV:
+        return {m.Quadrant.I: m.SubregionLabel.QUAD_I,
+                m.Quadrant.II: m.SubregionLabel.QUAD_II,
+                m.Quadrant.III: m.SubregionLabel.QUAD_III,
+                m.Quadrant.BOUNDARY: m.SubregionLabel.BOUNDARY}[quad]
+    th, r = e.theta_share, e.theta_L_over_K
+    da, db, de = (th[i, 0] - th[i, 1] for i in (T, K, L))
+    if abs(da) < ZERO_TOL or abs(de) < ZERO_TOL:
+        raise m.DegenerateShares(
+            f"share differences (A, E) = ({da:.3e}, {de:.3e}) vanish; Q undefined")
+    q = (float(db / da), float(db / de * r))
+    r_l1, r_l2 = ((float(th[K, j] / th[T, j]),
+                   float(-th[K, j] / (1.0 - th[L, j]) * r)) for j in range(2))
+
+    def side(b, a):
+        return (b[0] - q[0]) * (a[1] - q[1]) - (b[1] - q[1]) * (a[0] - q[0])
+
+    def on_border(b):
+        distance = abs(side(b, (p.s, p.u))) / math.hypot(b[0] - q[0], b[1] - q[1])
+        return distance < BORDER_TOL
+
+    def boundary(s):
+        if abs(s + 1.0) < ZERO_TOL:
+            raise m.AsymptoteHit(f"boundary evaluated at S' = {s} (asymptote S' = -1)")
+        return -r * s / (s + 1.0)
+
+    if on_border(r_l2) or on_border(r_l1):
+        return m.SubregionLabel.BOUNDARY
+    s1, s3 = r_l2[0] * (1.0 + 1e-3), r_l1[0] * (1.0 - 1e-3)
+    on_p1 = side(r_l2, (p.s, p.u)) * side(r_l2, (s1, boundary(s1))) > 0
+    on_p3 = side(r_l1, (p.s, p.u)) * side(r_l1, (s3, boundary(s3))) > 0
+    if on_p1 and on_p3:
+        return m.SubregionLabel.QUAD_IV_UNCLASSIFIED
+    return (m.SubregionLabel.P1 if on_p1 else m.SubregionLabel.P3 if on_p3
+            else m.SubregionLabel.P2)
+
+
+def _assert_kernel_equals_reference(economies, points):
+    """Labels of (economy, (s, u)) pairs: the batch kernel over all of them,
+    one-point classify_subregion calls and the reference agree."""
+    s, u = (np.array(c, dtype=float) for c in zip(*points))
+    th = np.array([e.theta_share for e in economies])
+    tf = np.array([e.theta_factor for e in economies])
+    quads, codes = _subregions(s, u, th, tf)
+    seen = set()
+    for k, e in enumerate(economies):
+        p = RatioPoint(s[k], u[k], e.theta_L_over_K)
+        want = _reference_subregion(p, e)
+        assert _LABELS[codes[k]] is want, (k, s[k], u[k])
+        assert m.classify_subregion(p, e) is want, (k, s[k], u[k])
+        assert _QUADRANTS[quads[k]] is m.quadrant(p)[0]
+        seen.add(want)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def kernel_pool():
+    return mixed_pool(2024, 200)
+
+
+def test_subregion_kernel_equals_scalar_path_on_random_points(kernel_pool):
+    rng = np.random.default_rng(17)
+    economies = [e for e in kernel_pool for _ in range(100)]
+    mag = 10.0 ** rng.uniform(-3, 2, size=(len(economies), 2))
+    signs = rng.choice([-1.0, 1.0], size=(len(economies), 2))
+    seen = _assert_kernel_equals_reference(economies, list(mag * signs))
+    assert len(economies) == 20_000
+    assert {m.SubregionLabel.QUAD_I, m.SubregionLabel.QUAD_II,
+            m.SubregionLabel.QUAD_III, m.SubregionLabel.P1, m.SubregionLabel.P2,
+            m.SubregionLabel.P3} <= seen
+
+
+def test_subregion_kernel_equals_scalar_path_at_the_borders(kernel_pool):
+    # points at R_L1 and R_L2, and 1e-12 to 1e-6 off either border line on
+    # both sides, near R and halfway between R and the U' axis
+    economies, points = [], []
+    for e in kernel_pool[:100]:
+        q = np.array(m.point_q(e).coords())
+        for r_point in m.points_r(e):
+            r = np.array(r_point.coords())
+            along = (r - q) / np.hypot(*(r - q))
+            normal = np.array([-along[1], along[0]])
+            bases = [r, r + 0.5 * (r - q) * (-r[0] / (r - q)[0])]
+            points.append(tuple(r))
+            points += [tuple(b + d * normal) for b in bases
+                       for d in np.outer([-1, 1], 10.0 ** np.arange(-12, -5)).ravel()]
+            economies += [e] * (1 + 2 * 2 * 7)
+    seen = _assert_kernel_equals_reference(economies, points)
+    assert m.SubregionLabel.BOUNDARY in seen and len(seen) > 1
+
+
+def test_subregion_kernel_equals_scalar_path_on_axes_and_nan(e0):
+    values = [-np.inf, -1.0, -0.0, 0.0, 1e-300, 1.0, np.inf, np.nan]
+    points = [(s, u) for s in values for u in values]
+    seen = _assert_kernel_equals_reference([e0] * len(points), points)
+    assert m.SubregionLabel.BOUNDARY in seen
+
+
+def test_subregion_kernel_keeps_the_scalar_errors(e0):
+    # equal land shares (A = 0): Q is undefined, which matters in quadrant IV
+    e = m.Economy.cobb_douglas([[0.3, 0.3], [0.2, 0.45], [0.5, 0.25]], [0.5, 0.5])
+    inside = RatioPoint(1.0, -0.1, e.theta_L_over_K)
+    with pytest.raises(m.DegenerateShares) as want:
+        _reference_subregion(inside, e)
+    with pytest.raises(m.DegenerateShares) as got:
+        m.classify_subregion(inside, e)
+    assert str(got.value) == str(want.value)
+    outside = RatioPoint(1.0, 0.1, e.theta_L_over_K)
+    assert m.classify_subregion(outside, e) is m.SubregionLabel.QUAD_I
+    # in a batch too, only its quadrant-IV rows need Q
+    th = np.array([e.theta_share, e0.theta_share])
+    tf = np.array([e.theta_factor, e0.theta_factor])
+    _, codes = _subregions(np.array([1.0, 1.0]), np.array([0.1, -0.1]), th, tf)
+    assert [_LABELS[c] for c in codes] == [m.SubregionLabel.QUAD_I, m.SubregionLabel.P2]
+    with pytest.raises(m.DegenerateShares):
+        _subregions(np.array([1.0, 1.0]), np.array([-0.1, -0.1]), th, tf)
