@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -136,10 +137,11 @@ def cmd_ews(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    e = _load_valid_economy(args)
-    g = model.ews_matrix(e)
-    p = model.ews_ratio_vector(g)
+def _placement(e: model.Economy) -> dict:
+    """Where the ratio point of `e` lies: its coordinates, quadrant and implied
+    sign triple, its subregion and, where one is tabulated, its Rybczynski
+    sign pattern."""
+    p = model.ews_ratio_vector(model.ews_matrix(e))
     quad, triple = geometry.quadrant(p)
     label = geometry.classify_subregion(p, e)
     payload = {
@@ -150,7 +152,11 @@ def cmd_classify(args) -> int:
     }
     if label in geometry.RYBCZYNSKI_PATTERNS:
         payload["rybczynski_pattern"] = geometry.rybczynski_pattern(label).tolist()
-    _emit(payload, args)
+    return payload
+
+
+def cmd_classify(args) -> int:
+    _emit(_placement(_load_valid_economy(args)), args)
     return EXIT_OK
 
 
@@ -166,18 +172,14 @@ def cmd_rybczynski(args) -> int:
     values, signs = statics.rybczynski_matrix(e)
     payload = {"values": values.tolist(), "signs": signs.tolist()}
     try:
-        p = model.ews_ratio_vector(model.ews_matrix(e))
-        label = geometry.classify_subregion(p, e)
-        payload["subregion"] = label.value
-        if label in geometry.RYBCZYNSKI_PATTERNS:
-            expected = geometry.rybczynski_pattern(label)
-            payload["pattern_match"] = bool(np.array_equal(expected, signs))
+        place = _placement(e)
     except Ews3x2Error:
-        payload["subregion"] = None
+        place = {"subregion": None}
+    payload["subregion"] = place["subregion"]
+    if "rybczynski_pattern" in place:
+        payload["pattern_match"] = place["rybczynski_pattern"] == payload["signs"]
     _emit(payload, args)
-    if payload.get("pattern_match") is False:
-        return EXIT_MODEL
-    return EXIT_OK
+    return EXIT_MODEL if payload.get("pattern_match") is False else EXIT_OK
 
 
 def cmd_estimate(args) -> int:
@@ -302,17 +304,12 @@ def cmd_sweep(args) -> int:
         if out_path.is_file():  # a device or pipe has no length to cut
             fh.truncate()
 
-    quad_counts, rank_counts, failures = {}, {}, 0
-    for r in rows:
-        quad_counts[r[12]] = quad_counts.get(r[12], 0) + 1
-        rank_counts[r[14]] = rank_counts.get(r[14], 0) + 1
-        if r[17] is not True:
-            failures += 1
+    failures = sum(r[17] is not True for r in rows)
     summary = {
         "rows": len(rows),
         "csv": str(out_path),
-        "quadrants": quad_counts,
-        "rankings": rank_counts,
+        "quadrants": Counter(r[12] for r in rows),
+        "rankings": Counter(r[14] for r in rows),
         "violations": failures,
     }
     print(json.dumps(summary, indent=2))
@@ -323,8 +320,7 @@ def cmd_plot(args) -> int:
     from .svgfig import Figure, autoscale_viewport
     e = _load_valid_economy(args)
     r = e.theta_L_over_K
-    g = model.ews_matrix(e)
-    p = model.ews_ratio_vector(g)
+    p = model.ews_ratio_vector(model.ews_matrix(e))
     extra = [p]
     q = rl1 = rl2 = seg = None
     try:
@@ -335,16 +331,14 @@ def cmd_plot(args) -> int:
         pass
     try:
         resp = statics.stolper_samuelson(e, 1.0)
-        line = geometry.vector_line(resp, e)
-        seg = geometry.segment_ab(line, resp, e)
+        seg = geometry.segment_ab(geometry.vector_line(resp, e), resp, e)
         extra += [seg.point_a, seg.point_b]
     except Ews3x2Error:
-        line = None
+        pass
     fig = Figure(viewport=autoscale_viewport(extra, r))
     fig.add_boundary(r)
-    if line is not None:
-        fig.add_line(line.a1, line.b1)
     if seg is not None:
+        fig.add_line(seg.line.a1, seg.line.b1)
         fig.add_segment(seg.point_a, seg.point_b)
     if q is not None:
         fig.add_point(q.s, q.u, "Q", "#9467bd")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (AsymptoteHit, DegenerateShares, DegenerateShock,
                      TangentOrComplexRoots, UnmappedRegion)
-from .model import Economy, K, L, RatioPoint, T
+from .model import Economy, K, L, RatioPoint, T, intensity_ranked
 from .statics import Response
 from .tolerances import (BORDER_TOL, CHORD_TOL, DISCRIMINANT_TOL, SLOPE_TOL,
                          ZERO_TOL)
@@ -297,10 +297,12 @@ def _subregions(s, u, th, tf) -> tuple:
 
 
 def classify_subregion(p: RatioPoint, e: Economy) -> SubregionLabel:
-    """Quadrant-IV subregion of a ratio point (P1/P2/P3), or its quadrant:
-    `_subregions` of one point."""
-    _, codes = _subregions(np.array([p.s]), np.array([p.u]),
-                           e.theta_share[None], e.theta_factor[None])
+    """Quadrant-IV subregion (P1/P2/P3) of a ratio point, under the intensity
+    ranking, or else its quadrant: `_subregions` of one point."""
+    quads, codes = _subregions(np.array([p.s]), np.array([p.u]),
+                               e.theta_share[None], e.theta_factor[None])
+    if _QUADRANTS[quads[0]] is Quadrant.IV and not intensity_ranked(e.theta_share):
+        return SubregionLabel.QUAD_IV_UNCLASSIFIED
     return _LABELS[codes[0]]
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AsymptoteHit
+import numpy as np
+
 from .geometry import boundary_u
+from .tolerances import ZERO_TOL
 
 
 @dataclass
@@ -52,17 +54,14 @@ class Figure:
     def add_boundary(self, theta_L_over_K: float):
         vp, n = self.viewport, 400  # n + 1 samples per branch
         for lo, hi in ((vp.s_min, -1.0 - 1e-6), (-1.0 + 1e-6, vp.s_max)):
-            pts = []
-            for k in range(n + 1):
-                s = lo + (hi - lo) * k / n
-                try:
-                    u = boundary_u(s, theta_L_over_K)
-                except AsymptoteHit:
-                    continue
-                if vp.u_min <= u <= vp.u_max:
-                    pts.append((s, u))
-            if len(pts) >= 2:
-                self._polyline(pts, "#1f77b4", series="boundary")
+            s = lo + (hi - lo) * np.arange(n + 1) / n
+            s = s[abs(s + 1.0) >= ZERO_TOL]  # off the asymptote
+            with np.errstate(over="ignore"):  # a U' that overflows is off the figure
+                u = boundary_u(s, theta_L_over_K)
+            keep = (vp.u_min <= u) & (u <= vp.u_max)
+            if keep.sum() >= 2:
+                self._polyline(list(zip(s[keep].tolist(), u[keep].tolist())),
+                               "#1f77b4", series="boundary")
         # asymptotes
         self._polyline([(-1.0, vp.u_min), (-1.0, vp.u_max)], "#999999",
                        dash="6,4", series="asymptote")
@@ -124,10 +123,7 @@ def autoscale_viewport(points, theta_L_over_K: float) -> Viewport:
     the horizontal asymptote, plus a margin of 0.6."""
     ss = [0.0, 1.0, -1.0]
     us = [0.0, -theta_L_over_K]
-    for p in points:
-        if p is None:
-            continue
-        s, u = (p.s, p.u) if hasattr(p, "s") else p
+    for s, u in ((p.s, p.u) for p in points if p is not None):
         if math.isfinite(s) and math.isfinite(u) and abs(s) < 50 and abs(u) < 50:
             ss.append(s)
             us.append(u)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
@@ -152,6 +152,98 @@ def test_rybczynski_payload(e0_path, capsys):
     signs = np.array(d["signs"])
     assert signs.shape == (2, 3)
     assert d["subregion"] == "quadrant I"
+
+
+@pytest.fixture()
+def p2_path(tmp_path):
+    # a ranked quadrant-IV economy whose ratio point is in P2
+    e = m.sample_economy(7, m.SampleConstraints(ranked=True, quadrant="IV")).economy
+    p = tmp_path / "p2.json"
+    p.write_text(json.dumps(e.to_dict()))
+    return str(p)
+
+
+def test_classify_and_rybczynski_agree_on_a_p2_economy(p2_path, capsys):
+    assert main(["classify", p2_path]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["quadrant"] == "IV"
+    assert d["subregion"] == "P2"
+    assert d["rybczynski_pattern"] == m.rybczynski_pattern(m.SubregionLabel.P2).tolist()
+    assert main(["rybczynski", p2_path]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["subregion"] == "P2"
+    assert d["pattern_match"] is True
+
+
+def test_rybczynski_without_a_ratio_point_reports_no_subregion(p2_path, capsys,
+                                                                monkeypatch):
+    import ews3x2.cli as cli
+
+    def fail(*args, **kwargs):
+        raise m.DegenerateDenominator("injected failure")
+
+    monkeypatch.setattr(cli.model, "ews_ratio_vector", fail)
+    assert main(["rybczynski", p2_path]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["subregion"] is None
+    assert "pattern_match" not in d
+
+
+def test_rybczynski_sign_mismatch_exits_1(p2_path, capsys, monkeypatch):
+    import ews3x2.cli as cli
+    exact = cli.statics.rybczynski_matrix
+
+    def flipped(e):
+        values, signs = exact(e)
+        return -values, -signs
+
+    monkeypatch.setattr(cli.statics, "rybczynski_matrix", flipped)
+    assert main(["rybczynski", p2_path]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["subregion"] == "P2"
+    assert d["pattern_match"] is False
+
+
+def test_non_finite_result_exits_1(e0_path, capsys, monkeypatch):
+    import ews3x2.cli as cli
+    exact = cli.statics.rybczynski_matrix
+
+    def with_nan(e):
+        values, signs = exact(e)
+        values[0, 0] = np.nan
+        return values, signs
+
+    monkeypatch.setattr(cli.statics, "rybczynski_matrix", with_nan)
+    assert main(["rybczynski", e0_path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: result is not finite")
+
+
+@pytest.fixture()
+def unranked_iv_path(tmp_path):
+    # a quadrant-IV economy outside the intensity ranking: L, not T, has the
+    # largest sector-1 to sector-2 share ratio
+    e = m.sample_economy(2, m.SampleConstraints(
+        ranked=False, quadrant="IV", families=("two_level_ces",))).economy
+    assert not m.is_ranked(e)
+    p = tmp_path / "unranked.json"
+    p.write_text(json.dumps(e.to_dict()))
+    return str(p)
+
+
+def test_no_tabulated_pattern_outside_the_intensity_ranking(unranked_iv_path,
+                                                            capsys):
+    assert main(["classify", unranked_iv_path]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["quadrant"] == "IV"
+    assert d["subregion"] == "quadrant IV (unclassified)"
+    assert "rybczynski_pattern" not in d
+    assert main(["rybczynski", unranked_iv_path]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["subregion"] == "quadrant IV (unclassified)"
+    assert "pattern_match" not in d
 
 
 @pytest.mark.parametrize("command",
@@ -612,6 +704,60 @@ def test_plot_writes_svg_and_csv(e0_path, tmp_path):
     assert coords.read_text().splitlines()[0]  # non-empty header
 
 
+def _plot_series(argv, tmp_path) -> set:
+    coords = tmp_path / "coords.csv"
+    assert main(["--out", str(tmp_path / "fig.svg"), "plot", *argv,
+                 "--csv", str(coords)]) == 0
+    return {line.split(",")[0] for line in coords.read_text().splitlines()[1:]}
+
+
+def test_plot_without_q_draws_no_special_points(tmp_path):
+    # equal land shares: Q is undefined
+    e = m.Economy.cobb_douglas([[0.3, 0.3], [0.2, 0.45], [0.5, 0.25]], [0.5, 0.5])
+    econ = tmp_path / "economy.json"
+    econ.write_text(json.dumps(e.to_dict()))
+    series = _plot_series([str(econ)], tmp_path)
+    assert "point-E" in series
+    assert not {"point-Q", "point-R_L1", "point-R_L2"} & series
+
+
+def test_plot_without_a_segment_draws_no_vector_line(e0_path, tmp_path, monkeypatch):
+    import ews3x2.cli as cli
+
+    def fail(*args, **kwargs):
+        raise m.DegenerateShock("injected failure")
+
+    monkeypatch.setattr(cli.geometry, "segment_ab", fail)
+    series = _plot_series([e0_path], tmp_path)
+    assert {"point-E", "point-Q", "boundary"} <= series
+    assert not {"segment", "vector-line", "point-A", "point-B"} & series
+
+
+@pytest.mark.parametrize("r", [0.5, 1.75, 1e303])
+@pytest.mark.parametrize("viewport", [(-4.0, 4.0, -4.0, 4.0), (-1.6, 2.1, -3.3, 0.9)])
+def test_boundary_branch_equals_the_pointwise_loop(r, viewport):
+    # the reference: one scalar boundary_u per abscissa, in float arithmetic
+    from ews3x2.svgfig import Figure, Viewport
+    vp = Viewport(*viewport)
+    want = []
+    for lo, hi in ((vp.s_min, -1.0 - 1e-6), (-1.0 + 1e-6, vp.s_max)):
+        pts = []
+        for k in range(401):
+            s = lo + (hi - lo) * k / 400
+            try:
+                u = m.boundary_u(s, r)
+            except m.AsymptoteHit:
+                continue
+            if vp.u_min <= u <= vp.u_max:
+                pts.append(("boundary", s, u))
+        want += pts if len(pts) >= 2 else []
+    fig = Figure(viewport=vp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fig.add_boundary(r)
+    assert [c for c in fig.coords if c[0] == "boundary"] == want
+
+
 # ---------------------------------------------------------------------------
 # fuzzed documents: a valid document with one part broken
 
@@ -715,3 +861,68 @@ def test_broken_documents_exit_0_1_or_2(e0, data):
     assert "Infinity" not in out.getvalue()
     if rc == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed values: well-formed documents that hold extreme numbers
+
+
+def extreme(low: float, high: float):
+    """Strategy: floats in [low, high], the ends and powers of ten between them
+    included, one draw in four; a float in the middle of the range otherwise,
+    so that many drawn economies are valid and reach the computations."""
+    ends = st.one_of(st.sampled_from([low, high]), st.floats(low, high),
+                     st.integers(-300, 300).map(lambda k: 10.0 ** k)
+                     .filter(lambda v: low <= v <= high))
+    middle = st.floats(0.05, 0.95) if low > 0 else st.floats(0.0, 3.0)
+    return st.integers(0, 3).flatmap(lambda k: ends if k == 0 else middle)
+
+
+@st.composite
+def extreme_economy(draw) -> m.Economy:
+    share = extreme(1e-300, 1 - 1e-16)
+    th = np.array(draw(st.lists(share, min_size=6, max_size=6))).reshape(3, 2)
+    tg = np.array(draw(st.lists(share, min_size=2, max_size=2)))
+    cross = st.lists(extreme(-1e300, 1e300), min_size=3, max_size=3)
+    sigma = np.zeros((2, 3, 3))
+    for j in range(2):
+        (sigma[j, 0, 1], sigma[j, 0, 2], sigma[j, 1, 2]) = draw(cross)
+        sigma[j] += sigma[j].T
+    with np.errstate(all="ignore"):
+        th, tg = th / th.sum(axis=0), tg / tg.sum()
+        sigma = m.model._fill_aes_diagonal(sigma, th.T)
+    assume(np.isfinite(sigma).all())  # a diagonal past the float range
+    return m.Economy.from_shares(th, tg, sigma)
+
+
+@settings(max_examples=50, deadline=None)
+@given(e=extreme_economy(),
+       shock=st.lists(extreme(-1e300, 1e300), min_size=5, max_size=5),
+       scale=st.floats(-300, 300).map(lambda k: 10.0 ** k),
+       reversal=st.sampled_from([[], ["--time-reversal"]]))
+def test_extreme_values_exit_0_1_or_2(e0, e, shock, scale, reversal):
+    obs = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0)))
+    obs = m.Observation(theta_share=obs.theta_share, theta_good=obs.theta_good,
+                        p_star=scale * obs.p_star, w_star=scale * obs.w_star,
+                        a_star=scale * obs.a_star)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("economy", e.to_dict()),
+                          ("shock", {"p_star": shock[:2], "v_star": shock[2:]}),
+                          ("observation", obs.to_dict())):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
+        for argv in ([[command, paths["economy"]] for command in
+                      ("validate", "ews", "classify", "rybczynski", "plot")]
+                     + [["solve", paths["economy"], paths["shock"]],
+                        ["estimate", paths["observation"], *reversal]]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(["--out-dir", tmp] + argv)
+            assert rc in (0, 1, 2), argv
+            if rc == 0:
+                assert "NaN" not in out.getvalue(), argv
+                assert "Infinity" not in out.getvalue(), argv
