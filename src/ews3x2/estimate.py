@@ -9,6 +9,7 @@ band: measured rates inside the band yield "ambiguous", never a guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import (DegenerateObservation, UnsupportedRanking, ZeroP)
 from .geometry import (RYBCZYNSKI_PATTERNS, SubregionLabel, endpoint_a,
                        endpoint_b, quadrant, r_thresholds)
-from .model import FACTORS, K, L, RatioPoint, T, _allocations, intensity_ranked
+from .model import (FACTORS, K, L, RatioPoint, T, _allocations,
+                    _finite_or_null, intensity_ranked)
 from .statics import _scale, ranking_label, sign_label
 from .tolerances import DATA_TOL, DEAD_BAND
 
@@ -301,9 +303,12 @@ def consistency_checks(obs: Observation) -> dict:
         failures.append("aggregate input-coefficient changes do not "
                         "income-weight to zero")
 
-    h0 = float(obs.w_star @ (obs.a0_prime * obs.theta_factor))
-    out["H0"] = h0
-    if _signed(h0, scale * scale) > 0:
+    # at w* times m ~ 1/scale, a power of two, H0 and H_j come out times m and in range
+    m = math.ldexp(1.0, -math.frexp(scale)[1])
+    w_m, band = obs.w_star * m, (scale * m) ** 2
+    h0 = float(w_m @ (obs.a0_prime * obs.theta_factor))
+    out["H0"] = _finite_or_null(h0 / m)
+    if _signed(h0 * m, band) > 0:
         failures.append("H0 > 0")
 
     if obs.a_star is not None:
@@ -311,11 +316,10 @@ def consistency_checks(obs: Observation) -> dict:
         out["zero_profit_residuals"] = [abs(float(v)) for v in eq5]
         if np.max(np.abs(eq5)) > DATA_TOL * scale:
             failures.append("per-sector share-weighted a* rows do not sum to zero")
-        H = np.einsum("i,ij,ij->j", obs.w_star, obs.a_star, obs.theta_share)
-        out["H"] = H.tolist()
-        for j in range(2):
-            if _signed(float(H[j]), scale * scale) > 0:
-                failures.append(f"H_{j+1} > 0")
+        H = np.einsum("i,ij,ij->j", w_m, obs.a_star, obs.theta_share).tolist()
+        out["H"] = [_finite_or_null(h / m) for h in H]
+        failures += [f"H_{j} > 0" for j, h in enumerate(H, 1)
+                     if _signed(h * m, band) > 0]
 
     out["ranking"], out["a0_label"] = ranking, agg = obs.labels
     if ranking == "X>Z>Y" and agg in ("E", "F"):

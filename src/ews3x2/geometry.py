@@ -123,8 +123,7 @@ def line_boundary_intersections(line: VectorLine, theta_L_over_K: float) -> tupl
         raise TangentOrComplexRoots(
             f"discriminant {disc:.3e}: line tangent to or missing the boundary")
     sq = math.sqrt(disc)
-    roots = sorted(((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)))
-    return tuple(roots)
+    return tuple(sorted(((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa))))
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,7 @@ class SegmentAB:
         return (self.point_a.s + 1.0) * (self.point_b.s + 1.0) > 0
 
     def s_interval(self) -> tuple:
-        lo, hi = sorted((self.point_a.s, self.point_b.s))
-        return lo, hi
+        return tuple(sorted((self.point_a.s, self.point_b.s)))
 
     def contains(self, p: RatioPoint) -> bool:
         """Whether `p` is on the Euclidean chord: on the line, with S' in
@@ -261,7 +259,7 @@ _LABELS, _QUADRANTS = tuple(SubregionLabel), tuple(Quadrant)
 #: label code of the points in each of _QUADRANTS; quadrant IV's is on a border
 _QUADRANT_CODES = np.array([_LABELS.index(SubregionLabel[name]) for name in
                             ("QUAD_I", "QUAD_II", "QUAD_III", "BOUNDARY", "BOUNDARY")])
-#: label code of a quadrant-IV point by 2 * (on the P1 side) + (on the P3 side)
+#: label code of a quadrant-IV point by 2 * (P1 side) + (P3 side), 3 if unranked
 _SIDE_CODES = np.array([_LABELS.index(SubregionLabel[name]) for name in
                         ("P2", "P3", "P1", "QUAD_IV_UNCLASSIFIED")])
 
@@ -271,10 +269,12 @@ def _subregions(s, u, th, tf) -> tuple:
     (s, u) (n,) of economies with shares th (n, 3, 2) and theta_factor tf (n, 3).
 
     The border lines run through Q and R_L1 (P2/P3) and through Q and R_L2
-    (P1/P2); a point within BORDER_TOL of either is on the boundary. Sides are
-    calibrated against boundary points just outside the R thresholds, so that
-    on-boundary points keep the order P3 < S'(R_L1) < P2 < S'(R_L2) < P1. Only
-    quadrant-IV rows need Q, and raise DegenerateShares where it is undefined.
+    (P1/P2); a point within BORDER_TOL of either is on the boundary. Under the
+    intensity ranking Q is on the boundary's left branch and R_L1, R_L2 on its
+    falling right one, so each border is a rising chord that the curve crosses
+    from above at R: P3 is above the first border, P1 below the second. Only
+    quadrant-IV rows need Q, and raise DegenerateShares where it is undefined;
+    those of unranked economies are unclassified.
     """
     quads = np.full(s.shape, 4)  # Quadrant.BOUNDARY, unless in a quadrant
     for k, q in enumerate(_QUADRANTS[:4]):
@@ -288,21 +288,16 @@ def _subregions(s, u, th, tf) -> tuple:
         ds, du = rs - qs, ru - qu
         side = ds * (u[:, None] - qu) - du * (s[:, None] - qs)
         keep = iv & ~(abs(side) / np.hypot(ds, du) < BORDER_TOL).any(axis=1)
-        # calibration abscissas just left of S'(R_L1) and right of S'(R_L2),
-        # needed only for the quadrant-IV points off both borders
-        ref_s = np.where(keep[:, None], rs * (1.0 - 1e-3, 1.0 + 1e-3), 0.0)
-        ref_u = boundary_u(ref_s, r[:, None])
-        p3, p1 = (side * (ds * (ref_u - qu) - du * (ref_s - qs)) > 0).T
-    return quads, np.where(keep, _SIDE_CODES[2 * p1 + p3], _QUADRANT_CODES[quads])
+        unranked = iv & ~intensity_ranked(th)
+    codes = _SIDE_CODES[np.where(unranked, 3, 2 * (side[:, 1] < 0) + (side[:, 0] > 0))]
+    return quads, np.where(keep | unranked, codes, _QUADRANT_CODES[quads])
 
 
 def classify_subregion(p: RatioPoint, e: Economy) -> SubregionLabel:
     """Quadrant-IV subregion (P1/P2/P3) of a ratio point, under the intensity
     ranking, or else its quadrant: `_subregions` of one point."""
-    quads, codes = _subregions(np.array([p.s]), np.array([p.u]),
-                               e.theta_share[None], e.theta_factor[None])
-    if _QUADRANTS[quads[0]] is Quadrant.IV and not intensity_ranked(e.theta_share):
-        return SubregionLabel.QUAD_IV_UNCLASSIFIED
+    _, codes = _subregions(np.array([p.s]), np.array([p.u]),
+                           e.theta_share[None], e.theta_factor[None])
     return _LABELS[codes[0]]
 
 

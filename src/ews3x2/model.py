@@ -7,6 +7,7 @@ elasticity matrices are 3x3, and the economy-wide substitution matrix is 3x3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,11 @@ def _allocations(th, tg, tf) -> np.ndarray:
     return th * tg[..., None, :] / tf[..., :, None]
 
 
+def _finite_or_null(x: float):
+    """x, or None (JSON null) where x is not finite: JSON has no infinity."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -141,9 +147,8 @@ class ValidationReport:
         return {
             "ok": self.ok,
             "violations": [
-                # JSON has no infinity: a non-finite magnitude becomes null
                 {"code": v.code, "detail": v.detail,
-                 "magnitude": v.magnitude if np.isfinite(v.magnitude) else None}
+                 "magnitude": _finite_or_null(v.magnitude)}
                 for v in self.violations
             ],
         }

@@ -417,10 +417,6 @@ def _draw_params(rng, family: str, nest=None) -> dict:
             "s_out": 1.1 if abs(s_out - 1.0) < 1e-3 else s_out, "nest": nest}
 
 
-def _draw_spec(rng, family: str, theta_col, nest=None):
-    return calibrated_spec(family, theta_col, **_draw_params(rng, family, nest))
-
-
 def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints(),
                      max_draws: int = 100_000) -> list:
     """Rejection-sample one production-backed economy per seed.

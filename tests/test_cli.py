@@ -369,6 +369,30 @@ def test_estimate_json(obs_path, capsys):
     assert d["diagnostics"]["consistent"] is True
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_estimate_keeps_its_verdicts_past_the_float_range(obs_path, tmp_path,
+                                                           capsys, scale):
+    # H0 and the H_j multiply two rates, which leaves the float range here
+    assert main(["estimate", obs_path]) == 0
+    want = json.loads(capsys.readouterr().out)
+    with open(obs_path) as f:
+        doc = json.load(f)
+    for name in ("p_star", "w_star", "a0_prime", "a_star"):
+        doc[name] = (np.asarray(doc[name]) * scale).tolist()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    got = json.loads(out.out)
+    assert got["diagnostics"]["H0"] is None
+    for key in ("quadrant_verdict", "subregion_verdict"):
+        assert got[key] == want[key]
+    assert got["diagnostics"]["failures"] == want["diagnostics"]["failures"]
+
+
 def test_estimate_csv_and_svg(e0, tmp_path, capsys):
     obs = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0)))
     th, a = obs.theta_share, obs.a_star

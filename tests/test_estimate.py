@@ -319,7 +319,7 @@ def test_consistency_flags_bad_data(obs0):
     assert any("income-weight" in f for f in out["failures"])
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-13])
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9, 1e-13, 1e-250, 1e160])
 def test_consistency_verdicts_survive_rescaling(obs0, scale):
     def rescaled(**rates):
         return m.consistency_checks(Observation(
@@ -334,6 +334,10 @@ def test_consistency_verdicts_survive_rescaling(obs0, scale):
     bad = rescaled(a_star=obs0.a_star + [[0.01, 0.0], [0.0, 0.0], [0.0, 0.0]])
     assert "per-sector share-weighted a* rows do not sum to zero" \
         in bad["failures"]
+    # H0 and the H_j multiply two rates, which leave the float range at the
+    # ends of the scales
+    bad = rescaled(a_star=-obs0.a_star)
+    assert {"H0 > 0", "H_1 > 0", "H_2 > 0"} <= set(bad["failures"])
 
 
 def test_consistency_flags_excluded_letter(obs0):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2.geometry import (_LABELS, _QUADRANTS, RYBCZYNSKI_PATTERNS,
-                             _subregions, in_quadrant,
+                             _point_q, _points_r, _subregions, in_quadrant,
                              line_boundary_intersections)
-from ews3x2.model import K, L, T, RatioPoint
+from ews3x2.model import K, L, T, RatioPoint, intensity_ranked
 from ews3x2.statics import Shock
 from ews3x2.tolerances import BORDER_TOL, ZERO_TOL
 
@@ -360,6 +360,65 @@ def test_subregion_kernel_equals_scalar_path_on_axes_and_nan(e0):
     points = [(s, u) for s in values for u in values]
     seen = _assert_kernel_equals_reference([e0] * len(points), points)
     assert m.SubregionLabel.BOUNDARY in seen
+
+
+def _extreme_ranked_economies(rng, count):
+    """Cobb-Douglas economies of `count` ranked share matrices whose entries
+    are log-uniform down to 1e-300 before each column is normalised; only
+    those in which Q is defined (A and E at least ZERO_TOL) are kept."""
+    th = np.empty((0, 3, 2))
+    while len(th) < count:
+        draw = 10.0 ** rng.uniform(-300, 0, size=(8 * count, 3, 2))
+        draw /= draw.sum(axis=1, keepdims=True)
+        da, de = (draw[:, i, 0] - draw[:, i, 1] for i in (T, L))
+        th = np.concatenate([th, draw[intensity_ranked(draw) & (da >= ZERO_TOL)
+                                      & (de >= ZERO_TOL)]])
+    return [m.Economy.cobb_douglas(t, [0.5, 0.5]) for t in th[:count]]
+
+
+@pytest.fixture(scope="module")
+def extreme_pool():
+    return _extreme_ranked_economies(np.random.default_rng(1805), 2000)
+
+
+def test_ranking_puts_q_and_r_on_the_two_branches(kernel_pool, extreme_pool):
+    # the premises of the kernel's closed-form sides: Q on the left branch,
+    # R_L1 left of R_L2 on the right one, both up and to the right of Q
+    economies = kernel_pool + extreme_pool
+    th = np.array([e.theta_share for e in economies])
+    r = np.array([e.theta_L_over_K for e in economies])
+    qs, qu = _point_q(th, r)
+    rs, ru = _points_r(th, r)
+    assert (qs < -1.0).all()
+    assert ((0.0 < rs[:, 0]) & (rs[:, 0] < rs[:, 1])).all()
+    assert (rs > qs[:, None]).all() and (ru > qu[:, None]).all()
+
+
+def test_subregion_kernel_equals_scalar_path_on_extreme_inputs(extreme_pool):
+    rng = np.random.default_rng(29)
+    mag = 10.0 ** rng.uniform(-300, 300, size=(len(extreme_pool), 2))
+    with np.errstate(over="ignore"):  # the border-side products may overflow
+        seen = _assert_kernel_equals_reference(extreme_pool,
+                                               list(mag * [1.0, -1.0]))
+    assert {m.SubregionLabel.P1, m.SubregionLabel.P2, m.SubregionLabel.P3,
+            m.SubregionLabel.BOUNDARY} <= seen
+
+
+def test_subregion_kernel_leaves_unranked_quadrant_iv_unclassified():
+    unranked = m.sample_economy(2, m.SampleConstraints(
+        ranked=False, quadrant="IV", families=("two_level_ces",))).economy
+    ranked = m.sample_economy(7, m.SampleConstraints(ranked=True,
+                                                     quadrant="IV")).economy
+    assert not m.is_ranked(unranked)
+    economies = [unranked, ranked]
+    points = [m.ews_ratio_vector(m.ews_matrix(e)) for e in economies]
+    quads, codes = _subregions(np.array([p.s for p in points]),
+                               np.array([p.u for p in points]),
+                               np.array([e.theta_share for e in economies]),
+                               np.array([e.theta_factor for e in economies]))
+    assert [_QUADRANTS[q] for q in quads] == [m.Quadrant.IV] * 2
+    assert [_LABELS[c] for c in codes] == [m.SubregionLabel.QUAD_IV_UNCLASSIFIED,
+                                           m.SubregionLabel.P2]
 
 
 def test_subregion_kernel_keeps_the_scalar_errors(e0):

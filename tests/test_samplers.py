@@ -16,8 +16,8 @@ import pytest
 import ews3x2 as m
 from ews3x2.errors import ExhaustedRejection
 from ews3x2.model import K, L, T, ews_matrix, validate_economy
-from ews3x2.production import (EquilibriumPoint, SampledEconomy, _draw_spec,
-                               economy_snapshot)
+from ews3x2.production import (EquilibriumPoint, SampledEconomy, _draw_params,
+                               calibrated_spec, economy_snapshot)
 
 SEEDS = range(200)
 
@@ -97,9 +97,12 @@ def reference_sample_economy(seed, constraints=m.SampleConstraints(),
         if cons.quadrant == "IV":
             families = ("two_level_ces",)
             nest = (T, K)
-        specs = tuple(_draw_spec(rng, families[rng.integers(len(families))],
-                                 theta_share[:, j], nest=nest)
-                      for j in range(2))
+        specs = []
+        for j in range(2):
+            family = families[rng.integers(len(families))]
+            specs.append(calibrated_spec(family, theta_share[:, j],
+                                         **_draw_params(rng, family, nest)))
+        specs = tuple(specs)
         X = rng.uniform(0.5, 2.0, size=2)
         w = np.ones(3)
         p = np.ones(2)
