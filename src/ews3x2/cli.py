@@ -233,10 +233,12 @@ def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
     cons = production.SampleConstraints(
         ranked=True, quadrant="IV" if constraint == "quadrant4" else None)
     try:
-        samples = production.sample_economies(seeds, cons)
-        economies = [sample.economy for sample in samples]
-        th, la, sigma, tf = (np.array([getattr(e, f) for e in economies]) for f in
-                             ("theta_share", "lambda_share", "sigma", "theta_factor"))
+        th, la, tf, sigma = (np.empty((len(seeds),) + shape)
+                             for shape in ((3, 2), (3, 2), (3,), (2, 3, 3)))
+        drawn = {}
+        for ks, arrays, *_, sectors in production._sample_rounds(seeds, cons):
+            th[ks], la[ks], _, tf[ks], sigma[ks] = arrays
+            drawn.update(zip(ks, sectors))
         x, eps = statics._solve_hats(th, la, sigma, _SWEEP_RHS)
         g = model._ews(la, eps)
         s, u = model._ews_ratios(g)
@@ -262,7 +264,7 @@ def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
             agrees = signs[k] == geometry.RYBCZYNSKI_PATTERNS[label].ravel().tolist()
             ok = ok and agrees
         rows.append([
-            first_index + k, seeds[k], *(spec.form for spec in samples[k].specs),
+            first_index + k, seeds[k], *(family for family, _, _ in drawn[k]),
             *(f"{v:.12g}" for v in cols[k]), f"{sk:.12g}", f"{uk:.12g}",
             geometry._QUADRANTS[q].value, label.value, ranking,
             "".join("+" if v > 0 else "-" for v in signs[k]), agrees, ok,

@@ -444,13 +444,12 @@ def _fill_aes_diagonal(sig: np.ndarray, shares: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _dirichlet(rng, size: tuple) -> np.ndarray:
-    """rng.dirichlet(np.ones(size[-1]), size=size[:-1]), bit for bit and on
-    the same stream, without its checks of alpha: unit-alpha gammas are
-    standard exponentials, each row scaled by 1 / its left-to-right sum."""
-    e = rng.standard_exponential(size)
+def _dirichlet(e: np.ndarray) -> np.ndarray:
+    """Unit-alpha Dirichlet draws from standard exponentials e (..., k): each
+    row times 1 / its left-to-right sum, bit for bit rng.dirichlet(np.ones(k))
+    on the stream that drew e, without its checks of alpha."""
     acc = e[..., 0]
-    for j in range(1, size[-1]):
+    for j in range(1, e.shape[-1]):
         acc = acc + e[..., j]
     return e * (1.0 / acc)[..., None]
 
@@ -459,30 +458,38 @@ def _dirichlet(rng, size: tuple) -> np.ndarray:
 _BLOCK = 32
 
 
-def _draw_shares(rng, min_share: float, ranked: bool, max_draws: int):
-    """Yield the shares (3, 2), out of at most `max_draws` candidates, that
-    pass the floor `min_share` and, if `ranked`, the intensity ranking.
-
-    Candidates are drawn in blocks and filtered as arrays. A block of n
-    candidates draws the same exponentials in the same order as n draws of
-    one, so on a hit at i the generator is rewound and the exponentials of
-    i + 1 candidates redrawn, leaving it where one-at-a-time draws would.
-    """
-    left = max_draws
-    while left > 0:
-        n = min(_BLOCK, left)
-        state = rng.bit_generator.state
-        th = _dirichlet(rng, (n, 2, 3)).swapaxes(-1, -2)
-        ok = th.min(axis=(-2, -1)) >= min_share
+def _draw_shares(rngs: dict, left, min_share: float, ranked: bool) -> dict:
+    """The next shares (3, 2) of each generator rngs[k], by k, out of its
+    next left[k] candidates, that pass the floor and, if `ranked`, the
+    ranking; `left` loses the candidates used. The blocks of up to _BLOCK
+    candidates of all generators still searching are tested as one array; on
+    a hit at i the generator is rewound and redraws i + 1, as one at a time."""
+    out, live, e = {}, list(rngs), np.empty((len(rngs) * _BLOCK, 2, 3))
+    while live:
+        states = []
+        for r, k in enumerate(live):
+            states.append(rngs[k].bit_generator.state)
+            n = min(left[k], _BLOCK)
+            if n < _BLOCK:
+                e[r * _BLOCK + n:(r + 1) * _BLOCK] = np.nan  # past the budget: no hit
+            rngs[k].standard_exponential(out=e[r * _BLOCK:r * _BLOCK + n])
+        sh = _dirichlet(e[:len(live) * _BLOCK])
+        ok = (sh >= min_share).all(axis=(-2, -1))
         if ranked:
-            ok &= intensity_ranked(th)
-        hit = int(ok.argmax())
-        if ok[hit]:
-            n = hit + 1
-            rng.bit_generator.state = state
-            rng.standard_exponential(6 * n)
-            yield th[hit]
-        left -= n
+            ok &= intensity_ranked(sh.swapaxes(-1, -2))
+        still, first = [], ok.reshape(-1, _BLOCK).argmax(axis=1).tolist()
+        for r, (k, i) in enumerate(zip(live, first)):
+            if ok[r * _BLOCK + i]:
+                rngs[k].bit_generator.state = states[r]
+                rngs[k].standard_exponential(6 * (i + 1))
+                out[k] = sh[r * _BLOCK + i].T
+                left[k] -= i + 1
+            else:
+                left[k] -= min(left[k], _BLOCK)
+                if left[k]:
+                    still.append(k)
+        live = still
+    return out
 
 
 def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
@@ -495,10 +502,12 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
     technology can produce. Each candidate is tested on arrays; only the
     accepted one becomes an `Economy`. Deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(seed)
-    for theta_share in _draw_shares(rng, min_share, ranked, max_draws):
-        theta_good = _dirichlet(rng, (2,))
-        if min(theta_good.tolist()) < 0.01:
+    rng, left = np.random.default_rng(seed), [max_draws]
+    while (theta_share := _draw_shares({0: rng}, left, min_share,
+                                       ranked).get(0)) is not None:
+        g1, g2 = rng.standard_exponential(2).tolist()
+        theta_good = [g1 * (inv := 1.0 / (g1 + g2)), g2 * inv]  # `_dirichlet` on floats
+        if min(theta_good) < 0.01:
             continue
         sigma = np.empty((2, 3, 3))
         columns = theta_share.T.tolist()
@@ -514,6 +523,7 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
             if np.linalg.eigvalsh(tth[:, None] * sigma[j] * tth)[-1] > CONCAVITY_TOL:
                 break
         else:
+            theta_good = np.array(theta_good)
             theta_factor = theta_share @ theta_good
             arrays = (theta_share, _allocations(theta_share, theta_good, theta_factor),
                       theta_good, theta_factor, sigma)

@@ -372,7 +372,8 @@ class SampleConstraints:
     """What a sampled economy must satisfy.
 
     quadrant: None, or one of "I", "II", "III", "IV" for the ratio point.
-    families: candidate cost-function families for each draw.
+    families: candidate cost-function families for each draw; quadrant IV
+    draws only two-level CES nested (T, K), so it needs "two_level_ces".
     """
 
     ranked: bool = True
@@ -384,8 +385,10 @@ class SampleConstraints:
         if self.quadrant not in (None, "I", "II", "III", "IV"):
             raise ValueError(f"quadrant must be None or one of 'I' to 'IV', "
                              f"not {self.quadrant!r}")
-        if not self.families or not set(self.families) <= set(FAMILIES):
+        if (not self.families or not set(self.families) <= set(FAMILIES)
+                or self.quadrant == "IV" and "two_level_ces" not in self.families):
             raise ValueError(f"families must name one or more of {FAMILIES}, "
+                             "two_level_ces among them for quadrant IV, "
                              f"not {self.families!r}")
 
 
@@ -417,54 +420,39 @@ def _draw_params(rng, family: str, nest=None) -> dict:
             "s_out": 1.1 if abs(s_out - 1.0) < 1e-3 else s_out, "nest": nest}
 
 
-def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints(),
-                     max_draws: int = 100_000) -> list:
-    """Rejection-sample one production-backed economy per seed.
-
-    seeds is a sequence of seeds or Generators, each passed to
-    np.random.default_rng; each sample records its own. Specs are calibrated
-    so that w = (1,1,1), p = (1,1) is an exact equilibrium; endowments follow
-    from a random output draw. The seeds run in lockstep rounds: each
-    pending seed draws its next candidate from its own generator, as it
-    would alone, and evaluates its coefficients and Allen matrices on floats
-    at the unit point (`_unit_point`); the round's snapshots are then
-    validated and placed in the ratio plane as arrays, and specs are built
-    only for the candidates accepted. A seed leaves at its first passing
-    candidate, so each sample depends on its own seed only. If seeds exhaust
-    the budget, the first of them raises.
-    """
-    cons = constraints
-    families, nest = cons.families, None
-    if cons.quadrant == "IV":
-        # only land-capital complementarity can reach quadrant IV
-        families, nest = ("two_level_ces",), (T, K)
+def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
+    """The lockstep rounds of `sample_economies`: each pending seed takes its
+    next shares from one `_draw_shares` pass and draws the rest of its
+    candidate as it would alone, evaluated at the unit point (`_unit_point`).
+    Yields per round the seeds ks accepted, their snapshot arrays, V, X, a,
+    income and sectors' (family, column, params); raises after the seeds
+    before the first one out of budget are accepted."""
+    # only land-capital complementarity can reach quadrant IV
+    nest = (T, K) if cons.quadrant == "IV" else None
+    families = ("two_level_ces",) if nest else cons.families
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    shares = [_draw_shares(rng, cons.min_share, cons.ranked, max_draws)
-              for rng in rngs]
-    out = [None] * len(rngs)
+    ks, left = list(range(len(rngs))), [max_draws] * len(rngs)
     exhausted = len(rngs)  # index of the first seed out of candidates
-    pending = list(range(len(rngs)))
     w, p = np.ones(3), np.ones(2)
-    while pending:
-        ks, drawn = [], []
-        X, a, sigma = (np.empty((len(pending),) + shape)
+    while ks:
+        shares = _draw_shares({k: rngs[k] for k in ks}, left, cons.min_share,
+                              cons.ranked)
+        if len(shares) < len(ks):
+            exhausted = min([exhausted] + [k for k in ks if k not in shares])
+        ks = list(shares)
+        drawn = []
+        X, a, sigma = (np.empty((len(ks),) + shape)
                        for shape in ((2,), (3, 2), (2, 3, 3)))
-        for k in pending:
-            theta_share = next(shares[k], None)
-            if theta_share is None:
-                exhausted = min(exhausted, k)
-                continue
-            rng, n = rngs[k], len(ks)
-            ks.append(k)
+        for n, k in enumerate(ks):
+            rng = rngs[k]
             drawn.append([])
-            for col in theta_share.T.tolist():
+            for col in shares[k].T.tolist():
                 family = (families[0] if len(families) == 1
                           else families[rng.integers(len(families))])
                 drawn[n].append((family, col, _draw_params(rng, family, nest)))
             X[n] = rng.uniform(0.5, 2.0, size=2)
             for j, args in enumerate(drawn[n]):
                 a[n, :, j], sigma[n, j] = _unit_point(*args)
-        X, a, sigma = (arr[:len(ks)] for arr in (X, a, sigma))
         V = np.matmul(a, X[..., None])[..., 0]
         income = X[:, 0] + X[:, 1]
         arrays = _snapshot_shares(w, p, V, X, a, income) + (sigma,)
@@ -472,18 +460,38 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
         if cons.quadrant is not None:
             s, u = _ews_ratios(_ews(arrays[1], _epsilon(arrays[0], sigma)))
             ok &= in_quadrant(s, u, cons.quadrant)
-        for n in np.flatnonzero(ok):
-            eq = EquilibriumPoint(np.ones(3), np.ones(2), V[n], X[n], a[n],
-                                  float(income[n]))
-            specs = tuple(calibrated_spec(family, col, **params)
-                          for family, col, params in drawn[n])
-            out[ks[n]] = SampledEconomy(Economy(*(arr[n] for arr in arrays)),
-                                        specs, eq, seeds[ks[n]])
-        pending = [k for k in pending if out[k] is None and k < exhausted]
+        ok = ok.tolist()
+        if all(ok):
+            yield ks, arrays, V, X, a, income, drawn
+        elif any(ok):
+            acc = [n for n, o in enumerate(ok) if o]
+            yield ([ks[n] for n in acc], tuple(x[acc] for x in arrays),
+                   *(x[acc] for x in (V, X, a, income)), [drawn[n] for n in acc])
+        ks = [k for k, o in zip(ks, ok) if not o and k < exhausted]
     if exhausted < len(rngs):
         raise ExhaustedRejection(
             f"no economy satisfying {cons} within {max_draws} draws "
             f"(seed {seeds[exhausted]})")
+
+
+def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints(),
+                     max_draws: int = 100_000) -> list:
+    """Rejection-sample one production-backed economy per seed, in the rounds
+    of `_sample_rounds`. seeds is a sequence of seeds or Generators, each
+    passed to np.random.default_rng; each sample records its own. Specs are
+    calibrated so that w = (1,1,1), p = (1,1) is an exact equilibrium;
+    endowments follow from a random output draw. If seeds exhaust the budget,
+    the first of them raises."""
+    out = [None] * len(seeds)
+    for ks, arrays, V, X, a, income, drawn in _sample_rounds(seeds, constraints,
+                                                             max_draws):
+        for n, k in enumerate(ks):
+            eq = EquilibriumPoint(np.ones(3), np.ones(2), V[n], X[n], a[n],
+                                  float(income[n]))
+            specs = tuple(calibrated_spec(family, col, **params)
+                          for family, col, params in drawn[n])
+            out[k] = SampledEconomy(Economy(*(arr[n] for arr in arrays)),
+                                    specs, eq, seeds[k])
     return out
 
 

@@ -331,7 +331,7 @@ def test_invalid_economy_is_not_computed_on(e0, tmp_path, capsys, command):
     ("rybczynski", "statics.rybczynski_matrix", m.SingularSystem),
     ("classify", "model.ews_ratio_vector", m.DegenerateDenominator),
     ("estimate", "est.run_pipeline", m.ZeroP),
-    ("sweep", "production.sample_economies", m.ExhaustedRejection),
+    ("sweep", "production._sample_rounds", m.ExhaustedRejection),
 ])
 def test_typed_error_exits_1(e0_path, obs_path, tmp_path, capsys, monkeypatch,
                              command, target, error):
@@ -627,20 +627,20 @@ def test_sweep_reports_the_first_failing_row(tmp_path, capsys, monkeypatch):
     import ews3x2.cli as cli
     seed = 40
     row3 = m.sample_economy(seed + 3, m.SampleConstraints(ranked=True)).economy
-    sample = cli.production.sample_economies
+    rounds = cli.production._sample_rounds
     solve = cli.statics._solve_hats
 
     def sampler(seeds, *args):
         if seed + 5 in seeds:
             raise m.ExhaustedRejection("row 5 has no economy")
-        return sample(seeds, *args)
+        return rounds(seeds, *args)
 
     def statics(th, *args):
         if any(np.array_equal(t, row3.theta_share) for t in th):
             raise m.SingularSystem("row 3 is singular")
         return solve(th, *args)
 
-    monkeypatch.setattr(cli.production, "sample_economies", sampler)
+    monkeypatch.setattr(cli.production, "_sample_rounds", sampler)
     monkeypatch.setattr(cli.statics, "_solve_hats", statics)
     assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
                  "--count", "8"]) == 1
@@ -660,15 +660,19 @@ def test_sweep_reports_a_degenerate_quadrant_iv_row_through_the_fallback(
                               [0.5, 0.5], 1.0, -0.1)
     with pytest.raises(m.DegenerateShares) as scalar:
         m.classify_subregion(m.ews_ratio_vector(m.ews_matrix(flat)), flat)
-    sample = cli.production.sample_economies
+    rounds = cli.production._sample_rounds
 
     def sampler(seeds, *args):
         if seed + 5 in seeds:
             raise m.ExhaustedRejection("row 5 has no economy")
-        return [dataclasses.replace(s, economy=flat) if s.seed == seed + 3 else s
-                for s in sample(seeds, *args)]
+        for ks, arrays, *rest in rounds(seeds, *args):
+            for n, k in enumerate(ks):
+                if seeds[k] == seed + 3:
+                    for arr, f in zip(arrays, dataclasses.fields(flat)):
+                        arr[n] = getattr(flat, f.name)
+            yield (ks, arrays, *rest)
 
-    monkeypatch.setattr(cli.production, "sample_economies", sampler)
+    monkeypatch.setattr(cli.production, "_sample_rounds", sampler)
     assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
                  "--count", "8"]) == 1
     assert capsys.readouterr().err == f"error: {scalar.value}\n"

@@ -228,7 +228,7 @@ def test_dirichlet_equals_the_library_draw(k, size):
     for seed in range(50):
         lib, own = np.random.default_rng(seed), np.random.default_rng(seed)
         want = lib.dirichlet(np.ones(k), size=size)
-        got = _dirichlet(own, (size or ()) + (k,))
+        got = _dirichlet(own.standard_exponential((size or ()) + (k,)))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert own.bit_generator.state == lib.bit_generator.state
 

@@ -492,6 +492,18 @@ def test_unknown_family_is_rejected_when_constraints_are_built(families):
     assert m.SampleConstraints(families=("ces",)).families == ("ces",)
 
 
+@pytest.mark.parametrize("families", [("cobb_douglas",), ("cobb_douglas", "ces")])
+def test_quadrant_iv_without_two_level_ces_is_rejected(families):
+    # quadrant IV draws only two-level CES, so these families once sampled
+    # TwoLevelCes specs regardless
+    with pytest.raises(ValueError, match="two_level_ces among them for quadrant IV"):
+        m.SampleConstraints(quadrant="IV", families=families)
+    assert m.SampleConstraints(quadrant="III", families=families).families == families
+    s = m.sample_economy(3, m.SampleConstraints(
+        quadrant="IV", families=families + ("two_level_ces",)))
+    assert {spec.form for spec in s.specs} == {"two_level_ces"}
+
+
 UNIT_POINT_DRAWS = [("cobb_douglas", None), ("ces", None),
                     ("two_level_ces", (T, K)), ("two_level_ces", (T, L)),
                     ("two_level_ces", (K, L))]

@@ -255,3 +255,75 @@ def test_batched_sampler_raises_for_the_first_exhausted_seed():
     samples = m.sample_economies(list(draws), cons, max(draws.values()))
     for seed, s in zip(draws, samples):
         assert_same_sample(s, reference_sample_economy(seed, cons)[0])
+
+
+def _reference_outcome(seed, cons, max_draws):
+    """The reference's sample, or its ExhaustedRejection, and its generator."""
+    rng = np.random.default_rng(seed)
+    try:
+        return reference_sample_economy(rng, cons, max_draws)[0], rng
+    except ExhaustedRejection as exc:
+        return exc, rng
+
+
+@pytest.mark.parametrize("max_draws", [33, 40, 65])
+def test_budgets_ending_mid_block_in_one_round(max_draws, monkeypatch):
+    # one budget for every seed, but quadrant-IV seeds spend different
+    # numbers of candidates on the rounds they fail, so a later round tests
+    # blocks that the budget cuts short at different lengths
+    import ews3x2.production as production
+    cons = PRODUCTION_MODES["quadrant_iv"]
+    seeds = list(range(128))
+    refs = [_reference_outcome(seed, cons, max_draws) for seed in seeds]
+    fits = [seed for seed, (ref, _) in zip(seeds, refs)
+            if not isinstance(ref, ExhaustedRejection)]
+    first = next(seed for seed, (ref, _) in zip(seeds, refs)
+                 if isinstance(ref, ExhaustedRejection))
+    lengths = []
+    draw = production._draw_shares
+
+    def recording(rngs, left, *args):
+        lengths.append({min(left[k], 32) for k in rngs} - {32})
+        return draw(rngs, left, *args)
+
+    monkeypatch.setattr(production, "_draw_shares", recording)
+    rngs = [np.random.default_rng(seed) for seed in fits]
+    for seed, rng, s in zip(fits, rngs, m.sample_economies(rngs, cons, max_draws)):
+        ref, ref_rng = refs[seed]
+        assert_same_sample(s, ref)
+        assert same_state(rng, ref_rng), seed
+    assert any(len(cut) > 1 for cut in lengths)
+    # with every seed: the first out of budget raises, after the seeds
+    # before it have met their economies
+    with pytest.raises(ExhaustedRejection) as info:
+        m.sample_economies(seeds, cons, max_draws)
+    with pytest.raises(ExhaustedRejection) as ref:
+        reference_sample_economy(first, cons, max_draws)
+    assert str(info.value) == str(ref.value)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    with pytest.raises(ExhaustedRejection):
+        m.sample_economies(rngs, cons, max_draws)
+    for seed in seeds[:first + 1]:
+        assert same_state(rngs[seed], refs[seed][1]), seed
+
+
+@pytest.mark.parametrize("cons", PRODUCTION_MODES.values(),
+                         ids=PRODUCTION_MODES)
+def test_round_arrays_are_the_samples_fields(cons):
+    from ews3x2.production import _sample_rounds
+    seeds = list(SEEDS)
+    samples = m.sample_economies(seeds, cons)
+    met = []
+    for ks, arrays, V, X, a, income, drawn in _sample_rounds(seeds, cons):
+        for n, k in enumerate(ks):
+            s, eq = samples[k], samples[k].equilibrium
+            fields = [getattr(s.economy, f.name)
+                      for f in dataclasses.fields(s.economy)]
+            fields += [eq.V, eq.X, eq.a, eq.income]
+            for got, want in zip([arr[n] for arr in arrays + (V, X, a, income)],
+                                 fields, strict=True):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert [family for family, _, _ in drawn[n]] == [
+                spec.form for spec in s.specs]
+            met.append(k)
+    assert sorted(met) == list(range(len(seeds)))
