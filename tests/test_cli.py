@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2.cli import SWEEP_HEADER, main
+from ews3x2.model import K
 from ews3x2.statics import Shock
+
+from conftest import mixed_pool
 
 @pytest.fixture()
 def e0_path(e0, tmp_path):
@@ -111,6 +114,29 @@ def test_solve_writes_out_file(e0_path, tmp_path, capsys):
     assert d["w_star"] == pytest.approx([2.18269231, -1.375, 0.83653846])
     assert d["ranking"] == "X>Z>Y"
     assert d["sign_label"] == "A"
+
+
+def solve_reference_lines(e0):
+    """`ews3x2 solve`'s JSON for e0 and 40 mixed-pool economies, each under a
+    unit price rise, a unit capital loss and one normal shock."""
+    rng = np.random.default_rng(21)
+    for e in [e0] + mixed_pool(2024, 40):
+        for s in (Shock.price(1.0), Shock.endowment(K, -1.0),
+                  Shock(rng.normal(size=2), rng.normal(size=3))):
+            yield json.dumps(m.solve_linear(e, s).to_dict(), indent=2,
+                             default=str, allow_nan=False)
+
+
+#: sha256 of the reference `solve` documents (numpy 2.4)
+SOLVE_DIGEST = (
+    "2a9f5d0fbcd26af52e10ae0067340772ca151330bb746c0c175de40afc7cd0cb")
+
+
+def test_solve_reference_json_digest(e0):
+    h = hashlib.sha256()
+    for text in solve_reference_lines(e0):
+        h.update(text.encode() + b"\n")
+    assert h.hexdigest() == SOLVE_DIGEST
 
 
 def test_solve_malformed_shock(e0_path, tmp_path):
