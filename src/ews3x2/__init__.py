@@ -1,11 +1,11 @@
 """Comparative statics, ratio-plane geometry, and estimation for the
 three-factor two-good general-equilibrium trade model."""
 
-from .errors import (AmbiguousSign, AsymptoteHit, DegenerateDenominator,
+from .errors import (AsymptoteHit, DegenerateDenominator,
                      DegenerateObservation, DegenerateShares, DegenerateShock,
                      Ews3x2Error, ExhaustedRejection, NonConvergence,
-                     SingularSystem, Specialization, TangentOrComplexRoots,
-                     UnmappedRegion, UnsupportedRanking, ZeroP)
+                     SingularSystem, Specialization, UnmappedRegion,
+                     UnsupportedRanking, ZeroP)
 from .model import (Economy, EwsMatrix, RatioPoint, ValidationReport,
                     classify_substitutes, epsilon, ews_matrix,
                     ews_ratio_vector, is_ranked, sample_economy_shares,
@@ -14,8 +14,8 @@ from .geometry import (Quadrant, SegmentAB, SubregionLabel, VectorLine,
                        boundary_u, classify_subregion, point_q, points_r,
                        quadrant, region_contains, rybczynski_pattern,
                        segment_ab, vector_line)
-from .statics import (Response, Shock, h_checks, lemma2_diagnostics,
-                      rybczynski_matrix, solve_linear, stolper_samuelson)
+from .statics import (Response, Shock, rybczynski_matrix, solve_linear,
+                      stolper_samuelson)
 from .production import (CobbDouglas, Ces, EquilibriumPoint, SampleConstraints,
                          TwoLevelCes, appendix_f_sweep, calibrated_spec,
                          economy_snapshot, fd_rybczynski, sample_economies,

@@ -17,20 +17,12 @@ class DegenerateShock(Ews3x2Error):
     """Shock leaves all relative factor prices unchanged, or a_L0' vanishes."""
 
 
-class TangentOrComplexRoots(Ews3x2Error):
-    """Vector line is tangent to or misses the boundary hyperbola."""
-
-
 class DegenerateShares(Ews3x2Error):
     """A share difference or determinant needed as a denominator vanishes."""
 
 
 class SingularSystem(Ews3x2Error):
     """The linearized 5x5 system is singular or too ill-conditioned to trust."""
-
-
-class AmbiguousSign(Ews3x2Error):
-    """A sign-based classification was requested on a value inside the dead band."""
 
 
 class UnmappedRegion(Ews3x2Error):

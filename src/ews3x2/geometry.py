@@ -4,18 +4,16 @@ special points Q and R, and the subregion -> Rybczynski sign-pattern map."""
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from operator import gt, lt
 
 import numpy as np
 
 from .errors import (AsymptoteHit, DegenerateShares, DegenerateShock,
-                     TangentOrComplexRoots, UnmappedRegion)
+                     UnmappedRegion)
 from .model import Economy, K, L, RatioPoint, T, intensity_ranked
 from .statics import Response
-from .tolerances import (BORDER_TOL, CHORD_TOL, DISCRIMINANT_TOL, SLOPE_TOL,
-                         ZERO_TOL)
+from .tolerances import BORDER_TOL, CHORD_TOL, ZERO_TOL
 
 
 def boundary_u(s, theta_L_over_K):
@@ -108,24 +106,6 @@ def vector_line(resp: Response, e: Economy) -> VectorLine:
     return VectorLine(float(a1), float(b1))
 
 
-def line_boundary_intersections(line: VectorLine, theta_L_over_K: float) -> tuple:
-    """S' roots of the line/hyperbola system, smaller first.
-
-    Substituting the line into the boundary gives
-    a1*S'^2 - (b1 - a1 + r)*S' - b1 = 0 with r = theta_L/theta_K.
-    """
-    r = theta_L_over_K
-    qa, qb, qc = line.a1, -(line.b1 - line.a1 + r), -line.b1
-    if abs(qa) < SLOPE_TOL:
-        raise TangentOrComplexRoots("vector line is horizontal; single intersection")
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < DISCRIMINANT_TOL:
-        raise TangentOrComplexRoots(
-            f"discriminant {disc:.3e}: line tangent to or missing the boundary")
-    sq = math.sqrt(disc)
-    return tuple(sorted(((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa))))
-
-
 @dataclass(frozen=True)
 class SegmentAB:
     """Chord of the boundary cut out by the vector line.
@@ -140,7 +120,6 @@ class SegmentAB:
     point_a: RatioPoint
     point_b: RatioPoint
     line: VectorLine
-    quadratic_roots: tuple
 
     def same_branch(self) -> bool:
         return (self.point_a.s + 1.0) * (self.point_b.s + 1.0) > 0
@@ -181,18 +160,15 @@ def endpoint_b(a0_prime, theta_factor) -> RatioPoint:
 
 
 def segment_ab(line: VectorLine, resp: Response, e: Economy) -> SegmentAB:
-    """Endpoints A and B of the boundary chord, in closed form.
-
-    Both coincide with the roots of the line/boundary quadratic.
-    """
+    """Endpoints A and B of the boundary chord, in closed form: the two
+    points where the vector line meets the boundary hyperbola."""
     W, a0 = resp.W, resp.a0_prime
     for name, v in (("W_KL", W[K, L]), ("W_KT", W[K, T]),
                     ("a_T0'", a0[T]), ("a_L0'", a0[L])):
         if abs(v) < resp.shock.zero_band:
             raise DegenerateShock(f"{name} = {v:.3e}; segment endpoints undefined")
-    roots = line_boundary_intersections(line, e.theta_L_over_K)
     return SegmentAB(endpoint_a(resp.w_star, e.theta_factor),
-                     endpoint_b(a0, e.theta_factor), line, roots)
+                     endpoint_b(a0, e.theta_factor), line)
 
 
 def _point_q(th, r, where=True) -> tuple:

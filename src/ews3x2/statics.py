@@ -1,9 +1,9 @@
-"""Linearized comparative statics: the 5x5 hat-system and its diagnostics.
+"""Linearized comparative statics: the 5x5 hat-system and its solver.
 
 Everything here works in rates of change (hat calculus): an asterisked
 variable x* = dx/x. The solver returns factor-price and output responses to
-goods-price / endowment shocks, plus the rate-of-change diagnostics used by
-the ranking and sign-pattern lemmas.
+goods-price / endowment shocks, with the ranking and sign letter of each
+response; the data-side checks of the sign lemmas are in `estimate`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousSign, SingularSystem
-from .model import Economy, K, L, T, _epsilon, _ews, ews_matrix
+from .errors import SingularSystem
+from .model import Economy, _epsilon, _ews
 from .tolerances import COND_LIMIT, RESIDUAL_TOL, SCALE_FLOOR, ZERO_TOL
 
 
@@ -179,11 +179,6 @@ def _hat_matrices(th, la, g) -> np.ndarray:
     return m
 
 
-def hat_system(e: Economy) -> np.ndarray:
-    """Coefficient matrix (5, 5) of the hat-system of one economy."""
-    return _hat_matrices(e.theta_share, e.lambda_share, ews_matrix(e).g)
-
-
 def _solve_hats(th, la, sigma, rhs) -> tuple:
     """Solve the hat-systems of economies stacked on a leading axis.
 
@@ -233,16 +228,6 @@ def solve_linear(e: Economy, s: Shock) -> Response:
     return _response(e, s, x[0, :, 0], eps[0])
 
 
-def a0_prime_from_ews(e: Economy, w_star: np.ndarray) -> np.ndarray:
-    """Aggregate input-coefficient changes computed from the EWS matrix alone.
-
-    a_i0' = sum_{h != i} g_ih (w_h* - w_i*); equal to the allocation-weighted
-    aggregate of a_ij* in exact arithmetic (the cross-check route).
-    """
-    g = ews_matrix(e).g
-    return g @ w_star - g.sum(axis=1) * w_star
-
-
 #: right-hand sides of the Rybczynski solve: column i has p* = 0 and a unit
 #: v* on factor i
 _ENDOWMENT_RHS = np.eye(5, 3, k=-2)
@@ -285,55 +270,3 @@ def stolper_samuelson(e: Economy, P: float, time_reversal: bool = False) -> Resp
         raise ValueError("P < 0 requires time_reversal=True; the ranking "
                          "results assume a rising relative price of good 1")
     return solve_linear(e, Shock.price(abs(P) if time_reversal else P))
-
-
-@dataclass(frozen=True)
-class Lemma2Diagnostics:
-    aggregate_label: str
-    sector_labels: tuple
-    feasible: bool
-    ranking: str
-
-
-def lemma2_diagnostics(r: Response) -> Lemma2Diagnostics:
-    """Classify the aggregate and per-sector input-coefficient sign patterns.
-
-    Under the realized ranking X>Z>Y only the letters A-D are feasible;
-    E or F (or any letter under another ranking's exclusion) marks data
-    inconsistent with the model assumptions.
-    """
-    band = r.shock.zero_band
-    if any(abs(v) < band for v in r.a0_prime):
-        raise AmbiguousSign("an aggregate input-coefficient change is inside "
-                            "the dead band; sign letter undefined")
-    agg = sign_label(r.a0_prime, band)
-    sector = tuple(sign_label(r.a_star[:, j], band) for j in range(2))
-    feasible = (r.ranking == "X>Z>Y" and agg in ("A", "B", "C", "D"))
-    return Lemma2Diagnostics(agg, sector, feasible, r.ranking)
-
-
-@dataclass(frozen=True)
-class HChecks:
-    H: np.ndarray
-    H0: float
-    d10_residual: float
-    decompositions: tuple  # three algebraically equal forms of H0
-
-    @property
-    def decomposition_spread(self) -> float:
-        return max(self.decompositions) - min(self.decompositions)
-
-
-def h_checks(e: Economy, r: Response) -> HChecks:
-    """Evaluate the negativity diagnostics and their internal consistency.
-
-    H[j] = sum_i w_i* a_ij* theta_ij (negative for any genuine factor-price
-    perturbation) and H0 the income-share aggregate, both as solve_linear
-    computed them, and three eliminations of H0 that must agree exactly.
-    """
-    w, a0, tf = r.w_star, r.a0_prime, e.theta_factor
-    d10 = abs(float(a0 @ tf))
-    dec_l = (w[T] - w[L]) * a0[T] * tf[T] + (w[K] - w[L]) * a0[K] * tf[K]
-    dec_k = (w[T] - w[K]) * a0[T] * tf[T] + (w[L] - w[K]) * a0[L] * tf[L]
-    dec_t = (w[K] - w[T]) * a0[K] * tf[K] + (w[L] - w[T]) * a0[L] * tf[L]
-    return HChecks(r.H, r.H0, d10, (float(dec_l), float(dec_k), float(dec_t)))

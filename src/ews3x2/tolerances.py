@@ -5,10 +5,6 @@ The estimation method is a chain of sign tests, so these values are its policy.
 
 #: absolute: a denominator or gap below this is zero; rates closer than this tie
 ZERO_TOL = 1e-12
-#: absolute: a vector-line slope below this makes the line horizontal
-SLOPE_TOL = 1e-15
-#: absolute: a line/boundary discriminant below this means tangency or no roots
-DISCRIMINANT_TOL = 1e-14
 #: absolute: ratio points closer than this to a subregion border are Boundary
 BORDER_TOL = 1e-9
 #: relative to max(1, chord width) in S' and max(1, |U'|) in U': chord slack

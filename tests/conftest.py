@@ -175,3 +175,29 @@ def mixed_pool(seed, size):
                                        m.SampleConstraints(ranked=True)))
     return [next(produced).economy if k % 2 else m.sample_economy_shares(seed + k)
             for k in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# Second routes to results the library computes one way, kept as checks.
+
+def line_boundary_roots(line, theta_L_over_K):
+    """S' roots, smaller first, of the vector line meeting the boundary:
+    a1*S'^2 - (b1 - a1 + r)*S' - b1 = 0 with r = theta_L/theta_K. Raises
+    Ews3x2Error on a horizontal line or a discriminant below 1e-14 (a line
+    tangent to or missing the hyperbola)."""
+    qa, qb, qc = line.a1, -(line.b1 - line.a1 + theta_L_over_K), -line.b1
+    disc = qb * qb - 4.0 * qa * qc
+    if abs(qa) < 1e-15 or disc < 1e-14:
+        raise m.Ews3x2Error(f"slope {qa:.3e}, discriminant {disc:.3e}: "
+                            "no two intersections")
+    sq = np.sqrt(disc)
+    return tuple(sorted(((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa))))
+
+
+def h0_eliminations(w, a0, tf):
+    """H0 = sum_i w_i* a_i0' theta_i with one factor eliminated through
+    sum_i a_i0' theta_i = 0, for each of L, K and T: three algebraically
+    equal forms."""
+    return (float((w[T] - w[L]) * a0[T] * tf[T] + (w[K] - w[L]) * a0[K] * tf[K]),
+            float((w[T] - w[K]) * a0[T] * tf[T] + (w[L] - w[K]) * a0[L] * tf[L]),
+            float((w[K] - w[T]) * a0[K] * tf[K] + (w[L] - w[T]) * a0[L] * tf[L]))

@@ -15,10 +15,11 @@ import ews3x2 as m
 from ews3x2.cli import main as cli_main
 from ews3x2.estimate import corollary1_subregion, theorem1_verdict
 from ews3x2.model import K, L, T, epsilon
-from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews,
+from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock,
                             responses_and_rybczynski)
 
-from conftest import crafted_observation, mixed_pool
+from conftest import (crafted_observation, h0_eliminations, line_boundary_roots,
+                      mixed_pool)
 
 POOL_SIZE = 10_000
 BASE_SEED = 2024
@@ -118,15 +119,14 @@ def test_criterion_3_line_and_segment(responses, theorem1_observations):
         try:
             line = m.vector_line(resp, e)
             seg = m.segment_ab(line, resp, e)
+            roots = line_boundary_roots(line, e.theta_L_over_K)
             pt = m.ews_ratio_vector(m.ews_matrix(e))
         except m.Ews3x2Error:
             continue  # degenerate shock for this economy
         total += 1
         if abs(pt.u - line.u_at(pt.s)) <= 1e-8 * max(1.0, abs(pt.u)):
             on_line += 1
-        root_gap = max(abs(a - b) for a, b in
-                       zip(sorted((seg.point_a.s, seg.point_b.s)),
-                           seg.quadratic_roots))
+        root_gap = max(abs(a - b) for a, b in zip(seg.s_interval(), roots))
         if root_gap <= 1e-8:
             endpoints_ok += 1
         if seg.same_branch():
@@ -176,17 +176,17 @@ def test_criterion_5_sign_labels_and_negativity(responses):
         if resp.ranking != "X>Z>Y":
             continue
         n += 1
-        d = m.lemma2_diagnostics(resp)
-        if (d.aggregate_label in ("A", "B", "C", "D")
+        d = m.consistency_checks(m.observation_from_response(e, resp))
+        if (d["a0_label"] in ("A", "B", "C", "D")
                 and all(lbl in ("A", "B", "C", "D", None)
-                        for lbl in d.sector_labels)):
+                        for lbl in d["sector_labels"])):
             labels_ok += 1
-        hc = m.h_checks(e, resp)
-        if np.all(hc.H < 0) and hc.H0 < 0:
+        if all(h < 0 for h in d["H"]) and d["H0"] < 0:
             h_ok += 1
-        if hc.d10_residual < 1e-12:
+        if d["d10_residual"] < 1e-12:
             d10_ok += 1
-        if hc.decomposition_spread < 1e-10 * max(1.0, abs(hc.H0)):
+        forms = h0_eliminations(resp.w_star, resp.a0_prime, e.theta_factor)
+        if max(forms) - min(forms) < 1e-10 * max(1.0, abs(resp.H0)):
             dec_ok += 1
     ok = n > 0 and labels_ok == h_ok == d10_ok == dec_ok == n
     assert report(5, ok, f"labels {labels_ok}/{n}; negativity {h_ok}/{n}; "

@@ -353,6 +353,30 @@ def test_consistency_flags_excluded_letter(obs0):
     assert any("excluded" in f for f in out["failures"])
 
 
+def test_consistency_flags_excluded_sector_letter(obs0):
+    # sector 1's column gets letter E = (+, -, +), and its share-weighted
+    # rows still sum to zero, so only the sector-letter rule objects to it
+    a = obs0.a_star.copy()
+    a[:, 0] = [0.2, -(0.45 * 0.2 + 0.35 * 0.2) / 0.2, 0.2]
+    assert obs0.theta_share[:, 0] @ a[:, 0] == pytest.approx(0.0, abs=1e-15)
+    bad = Observation(theta_share=obs0.theta_share, theta_good=obs0.theta_good,
+                      p_star=obs0.p_star, w_star=obs0.w_star, a_star=a)
+    out = m.consistency_checks(bad)
+    assert out["ranking"] == "X>Z>Y"
+    assert out["sector_labels"][0] == "E"
+    assert "sector 1 sign label E excluded under ranking X>Z>Y" in out["failures"]
+    assert not any("do not" in f for f in out["failures"])
+
+
+def test_aggregate_in_the_dead_band_has_no_letter(obs0):
+    flat = Observation(theta_share=obs0.theta_share, theta_good=obs0.theta_good,
+                       p_star=obs0.p_star, w_star=obs0.w_star,
+                       a0_prime=np.zeros(3))
+    assert m.consistency_checks(flat)["a0_label"] is None
+    assert ("aggregate sign pattern (+, +, -) (got label None)"
+            in theorem1_verdict(flat).failed_preconditions)
+
+
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
 

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2.geometry import (_LABELS, _QUADRANTS, RYBCZYNSKI_PATTERNS,
-                             _point_q, _points_r, _subregions, in_quadrant,
-                             line_boundary_intersections)
+                             _point_q, _points_r, _subregions, in_quadrant)
 from ews3x2.model import K, L, T, RatioPoint, intensity_ranked
 from ews3x2.statics import Shock
 from ews3x2.tolerances import BORDER_TOL, ZERO_TOL
 
-from conftest import mixed_pool, near_boundary_economy
+from conftest import line_boundary_roots, mixed_pool, near_boundary_economy
 
 R0 = 0.325 / 0.35  # theta_L / theta_K of the reference economy
 
@@ -114,10 +113,10 @@ def test_endpoints_on_boundary_and_line(e0, e0_line_segment):
         assert p.u == pytest.approx(line.u_at(p.s), abs=1e-10)
 
 
-def test_closed_form_endpoints_match_quadratic_roots(e0_line_segment):
-    _, _, seg = e0_line_segment
-    assert sorted((seg.point_a.s, seg.point_b.s)) == pytest.approx(
-        list(seg.quadratic_roots), abs=1e-10)
+def test_closed_form_endpoints_match_quadratic_roots(e0, e0_line_segment):
+    _, line, seg = e0_line_segment
+    assert list(seg.s_interval()) == pytest.approx(
+        list(line_boundary_roots(line, e0.theta_L_over_K)), abs=1e-10)
 
 
 def test_e0_endpoints_straddle_asymptote(e0, e0_line_segment):
@@ -149,12 +148,6 @@ def test_degenerate_shock_raises(e0):
         label=resp.label)
     with pytest.raises(m.DegenerateShock):
         m.vector_line(flat, e0)
-
-
-def test_tangent_line_raises():
-    # a horizontal line (a1 = 0) cannot cut the hyperbola twice
-    with pytest.raises(m.TangentOrComplexRoots):
-        line_boundary_intersections(m.VectorLine(0.0, 1.0), R0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,30 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2 import statics
-from ews3x2.model import K, L, T
-from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, a0_prime_from_ews,
-                            hat_system, ranking_label, sign_label,
-                            solve_partial_pivot)
+from ews3x2.model import K, T, ews_matrix
+from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, ranking_label,
+                            sign_label, solve_partial_pivot)
 from ews3x2.tolerances import ZERO_TOL
 
-from conftest import mixed_pool
+from conftest import h0_eliminations, mixed_pool
+
+
+def hat_system(e):
+    """Coefficient matrix (5, 5) of the hat-system of one economy."""
+    return statics._hat_matrices(e.theta_share, e.lambda_share, ews_matrix(e).g)
+
+
+def a0_prime_from_ews(e, w_star):
+    """Aggregate input-coefficient changes from the EWS matrix alone:
+    a_i0' = sum_{h != i} g_ih (w_h* - w_i*), the solver's allocation-weighted
+    aggregate of a_ij* in exact arithmetic."""
+    g = ews_matrix(e).g
+    return g @ w_star - g.sum(axis=1) * w_star
+
+
+def checks(e, r):
+    """The data-side sign and negativity checks of a solved response."""
+    return m.consistency_checks(m.observation_from_response(e, r))
 
 
 # ---------------------------------------------------------------------------
@@ -151,29 +168,23 @@ def test_e0_a0_prime_two_routes_agree(e0, r0):
 
 
 def test_e0_h_diagnostics(e0, r0):
-    hc = m.h_checks(e0, r0)
-    assert np.all(hc.H < 0)
-    assert hc.H0 < 0
-    assert hc.d10_residual < 1e-12
-    assert hc.decomposition_spread < 1e-12
-    assert hc.decompositions[0] == pytest.approx(hc.H0, abs=1e-12)
+    d = checks(e0, r0)
+    assert all(h < 0 for h in d["H"])
+    assert d["H0"] < 0
+    assert d["d10_residual"] < 1e-12
+    forms = h0_eliminations(r0.w_star, r0.a0_prime, e0.theta_factor)
+    assert max(forms) - min(forms) < 1e-12
+    assert forms[0] == pytest.approx(r0.H0, abs=1e-12)
+    assert d["H"] == pytest.approx(r0.H.tolist(), abs=1e-12)
+    assert d["H0"] == pytest.approx(r0.H0, abs=1e-12)
 
 
-def test_e0_lemma2(r0):
-    d = m.lemma2_diagnostics(r0)
-    assert d.aggregate_label == "A"
-    assert d.feasible
-    assert d.ranking == "X>Z>Y"
-    assert all(lbl in ("A", "B", "C", "D", None) for lbl in d.sector_labels)
-
-
-def test_lemma2_dead_band_raises(e0, r0):
-    flat = m.Response(
-        shock=r0.shock, w_star=r0.w_star, x_star=r0.x_star, a_star=r0.a_star,
-        a0_prime=np.zeros(3), W=r0.W, xyz=r0.xyz, H=r0.H, H0=r0.H0,
-        ranking=r0.ranking, label=None)
-    with pytest.raises(m.AmbiguousSign):
-        m.lemma2_diagnostics(flat)
+def test_e0_lemma2(e0, r0):
+    d = checks(e0, r0)
+    assert d["a0_label"] == "A"
+    assert d["ranking"] == "X>Z>Y"
+    assert d["consistent"]
+    assert all(lbl in ("A", "B", "C", "D", None) for lbl in d["sector_labels"])
 
 
 def test_stolper_samuelson_negative_p(e0):
@@ -221,10 +232,11 @@ def test_price_shock_properties(seed):
     # the realized ranking is one of the four admissible ones
     assert r.ranking in RANKINGS_UNDER_ASSUMPTIONS
     # cost-minimization diagnostics are negative
-    hc = m.h_checks(e, r)
-    assert np.all(hc.H < 0) and hc.H0 < 0
-    assert hc.d10_residual < 1e-12
-    assert hc.decomposition_spread < 1e-10 * max(1.0, abs(hc.H0))
+    d = checks(e, r)
+    assert all(h < 0 for h in d["H"]) and d["H0"] < 0
+    assert d["d10_residual"] < 1e-12
+    forms = h0_eliminations(r.w_star, r.a0_prime, e.theta_factor)
+    assert max(forms) - min(forms) < 1e-10 * max(1.0, abs(r.H0))
     # two routes to the aggregate coefficient changes agree
     assert np.allclose(a0_prime_from_ews(e, r.w_star), r.a0_prime, atol=1e-10)
 
@@ -258,7 +270,7 @@ def _outcome(f, *args):
 def test_solver_verdicts_survive_rescaling_the_shock(P):
     # the solver side's zero and tie bands are relative to the shock's
     # largest rate, so a rescaled shock scales every response linearly and
-    # moves no ranking, sign letter, Lemma 2 diagnostic or vector-line slope
+    # moves no ranking, sign letter, Lemma 2 check or vector-line slope
     for e in mixed_pool(90, 50):
         ref = m.solve_linear(e, Shock.price(1.0))
         r = m.solve_linear(e, Shock.price(P))
@@ -267,7 +279,9 @@ def test_solver_verdicts_survive_rescaling_the_shock(P):
             assert np.allclose(got, P * want, rtol=1e-9,
                                atol=1e-9 * P * np.abs(want).max())
         assert (r.ranking, r.label) == (ref.ranking, ref.label)
-        assert _outcome(m.lemma2_diagnostics, r) == _outcome(m.lemma2_diagnostics, ref)
+        got, want = checks(e, r), checks(e, ref)
+        assert all(got[k] == want[k] for k in ("ranking", "a0_label",
+                                               "sector_labels", "failures"))
         line, ref_line = _outcome(m.vector_line, r, e), _outcome(m.vector_line, ref, e)
         if isinstance(ref_line, str):
             assert line == ref_line
@@ -293,8 +307,8 @@ def test_labels_restricted_under_main_ranking(seed):
     if r.ranking != "X>Z>Y" or r.label is None:
         return
     assert r.label in ("A", "B", "C", "D")
-    d = m.lemma2_diagnostics(r)
-    assert d.feasible
+    d = checks(e, r)
+    assert d["ranking"] == "X>Z>Y" and d["a0_label"] in ("A", "B", "C", "D")
 
 
 def test_residual_gate_accepts_a_large_solution_of_a_well_posed_system():
