@@ -1,5 +1,8 @@
 """Economy snapshot, validation, and the economy-wide substitution matrix."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +218,27 @@ def test_sampler_respects_ranking_flag():
     e = m.sample_economy_shares(5, ranked=True)
     assert m.is_ranked(e)
     assert m.validate_economy(e, check_ranking=True).ok
+
+
+#: sha256 of `sample_economy_shares`'s five arrays and the generator's end
+#: state, seeds 0-1,999 in order, by `ranked`
+SHARE_SAMPLER_DIGESTS = {
+    True: "199edbe54235b682a21d588faae5f8eaac37ca69b270f17087c5b8d3f8d04934",
+    False: "64eadc8d013901af8c9957bff7cc4d0d9578eda0216150d6926d0f8c09eb2ea5",
+}
+
+
+@pytest.mark.parametrize("ranked", [True, False])
+def test_share_sampler_digest(ranked):
+    h = hashlib.sha256()
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        e = m.sample_economy_shares(rng, ranked)
+        for name in ("theta_share", "lambda_share", "theta_good",
+                     "theta_factor", "sigma"):
+            h.update(getattr(e, name).tobytes())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert h.hexdigest() == SHARE_SAMPLER_DIGESTS[ranked]
 
 
 def test_mixed_pool_builds_valid_economies():
