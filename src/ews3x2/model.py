@@ -44,11 +44,8 @@ class Economy:
     sigma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_share", _readonly(self.theta_share))
-        object.__setattr__(self, "lambda_share", _readonly(self.lambda_share))
-        object.__setattr__(self, "theta_good", _readonly(self.theta_good))
-        object.__setattr__(self, "theta_factor", _readonly(self.theta_factor))
-        object.__setattr__(self, "sigma", _readonly(self.sigma))
+        for name in _ARRAYS:
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def theta_L_over_K(self) -> float:
@@ -492,15 +489,33 @@ def _draw_shares(rngs: dict, left, min_share: float, ranked: bool) -> dict:
     return out
 
 
+def _concave(s, th) -> bool:
+    """Whether M = diag(th) s diag(th) (M 1 = 0) has no eigenvalue above tol:
+    its other two, of sum tr M and product e2 (the sum of M's principal 2x2
+    minors), are both <= tol iff tr <= 2 tol and tol^2 - tol tr + e2 >= 0."""
+    (a, b, c), tol = th, CONCAVITY_TOL
+    tt, kk, ll = a * a * s[T][T], b * b * s[K][K], c * c * s[L][L]
+    tk, tl, kl = a * b * s[T][K], a * c * s[T][L], b * c * s[K][L]
+    e2 = tt * kk - tk * tk + tt * ll - tl * tl + kk * ll - kl * kl
+    return (tr := tt + kk + ll) <= 2.0 * tol and tol * (tol - tr) + e2 >= 0.0
+
+
 def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
                           max_draws: int = 100_000) -> Economy:
     """Rejection-sample a valid economy directly at the share/AES level.
 
     Unlike the production-backed sampler this draws the Allen matrices
-    freely (symmetric, share-weighted rows summing to zero, negative
-    diagonal), so it reaches substitution patterns no single-nest CES
-    technology can produce. Each candidate is tested on arrays; only the
-    accepted one becomes an `Economy`. Deterministic for a fixed seed.
+    freely, so it reaches substitution patterns no single-nest CES technology
+    can produce. Deterministic for a fixed seed. Candidates are tested on
+    plain floats: shares by `_draw_shares`, each sector by `_concave`, then the
+    Allen diagonals' signs and the EWS tests. Each row of `_CHECKS` holds by
+    construction: 0-4, no divisor is below 0.02 * 0.01; 5-11, each sum is of
+    terms scaled by one over their sum, or of such sums, so one to a few ulp;
+    12, lambda_share is `_allocations`; 13-14, the floors keep shares in
+    [0.02, 0.96] and allocations 0.0002 from 0 and 1; 15-28, sigma is
+    symmetric and `_aes_diagonal` zeroes its rows, but concavity bounds a
+    diagonal only by CONCAVITY_TOL, hence its sign test, after both sectors'
+    draws as the stream requires; 29-30, `_draw_shares` ranked these floats.
     """
     rng, left = np.random.default_rng(seed), [max_draws]
     while (theta_share := _draw_shares({0: rng}, left, min_share,
@@ -509,28 +524,22 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
         theta_good = [g1 * (inv := 1.0 / (g1 + g2)), g2 * inv]  # `_dirichlet` on floats
         if min(theta_good) < 0.01:
             continue
-        sigma = np.empty((2, 3, 3))
-        columns = theta_share.T.tolist()
-        for j in range(2):
+        sigma = []
+        for th in theta_share.T.tolist():
             tk, tl, kl = rng.uniform(-3.0, 6.0, size=3).tolist()
             s = [[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]]
-            s[T][T], s[K][K], s[L][L] = _aes_diagonal(s, columns[j])
-            sigma[j] = s
-            # curvature: the share-weighted Allen matrix of a concave cost
-            # function is negative semidefinite (one zero eigenvalue from
-            # homogeneity, the rest strictly negative)
-            tth = theta_share[:, j]
-            if np.linalg.eigvalsh(tth[:, None] * sigma[j] * tth)[-1] > CONCAVITY_TOL:
+            s[T][T], s[K][K], s[L][L] = _aes_diagonal(s, th)
+            if not _concave(s, th):
                 break
+            sigma.append(s)
         else:
             theta_good = np.array(theta_good)
             theta_factor = theta_share @ theta_good
             arrays = (theta_share, _allocations(theta_share, theta_good, theta_factor),
-                      theta_good, theta_factor, sigma)
-            if not _validity(*(a[None] for a in arrays), ranked, STRUCT_TOL)[0][0]:
-                continue
-            g = _ews(arrays[1], _epsilon(theta_share, sigma)).tolist()
-            if (g[T][T] < 0 and g[K][K] < 0 and g[L][L] < 0
+                      theta_good, theta_factor, np.array(sigma))
+            g = _ews(arrays[1], _epsilon(theta_share, arrays[4])).tolist()
+            if (max(s[i][i] for s in sigma for i in (T, K, L)) < 0
+                    and g[T][T] < 0 and g[K][K] < 0 and g[L][L] < 0
                     and (g[L][K] < 0) + (g[L][T] < 0) + (g[K][T] < 0) <= 1
                     and min(_determinant_forms(g, theta_factor.tolist())) > 0):
                 return Economy(*arrays)

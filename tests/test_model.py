@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2.model import (K, L, T, _aes_diagonal, _dirichlet, _ews_ratios,
-                          _fill_aes_diagonal)
-from ews3x2.tolerances import IDENT_TOL, ZERO_TOL
+from ews3x2.model import (K, L, T, _aes_diagonal, _concave, _dirichlet,
+                          _ews_ratios, _fill_aes_diagonal)
+from ews3x2.tolerances import CONCAVITY_TOL, IDENT_TOL, ZERO_TOL
 
 from conftest import E0_THETA_GOOD, E0_THETA_SHARE, mixed_pool
+from test_samplers import reference_sample_economy_shares
 
 
 def ranked_economy(seed):
@@ -239,6 +240,53 @@ def test_share_sampler_digest(ranked):
             h.update(getattr(e, name).tobytes())
         h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
     assert h.hexdigest() == SHARE_SAMPLER_DIGESTS[ranked]
+
+
+def _lapack_concave(m_):
+    return not np.linalg.eigvalsh(m_)[-1] > CONCAVITY_TOL
+
+
+def test_concavity_test_is_the_lapack_decision(monkeypatch):
+    # every share-weighted Allen matrix the eigvalsh reference sampler tests
+    reached, lapack = [], np.linalg.eigvalsh
+
+    def recording(a):
+        reached.append(a)
+        return lapack(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for seed in range(1000):
+        reference_sample_economy_shares(seed)
+    monkeypatch.undo()
+    verdicts = [_concave(a.tolist(), [1.0, 1.0, 1.0]) for a in reached]
+    assert verdicts == [_lapack_concave(a) for a in reached]
+    assert 0 < sum(verdicts) < len(reached)
+    # M 1 = 0 with the other eigenvalues (x, y) in an orthonormal basis of 1-perp
+    basis = np.linalg.qr(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0],
+                                   [1.0, 0.0, -1.0]]))[0]
+    tol = CONCAVITY_TOL
+    for x, y in [(0.0, -1.0), (tol * (1 - 1e-3), -1.0), (tol * (1 + 1e-3), -1.0),
+                 (0.0, 0.0), (tol * (1 - 1e-3), -0.01), (tol * (1 + 1e-3), -0.01),
+                 (3 * tol, 3 * tol), (1.0, -2.0), (2.0, 3.0)]:
+        a = basis @ np.diag([0.0, x, y]) @ basis.T
+        assert abs(a.sum(axis=1)).max() < 1e-15
+        assert _concave(a.tolist(), [1.0, 1.0, 1.0]) == _lapack_concave(a) == (
+            max(x, y) <= tol), (x, y)
+
+
+@pytest.mark.parametrize("ranked", [True, False])
+def test_sampled_economies_meet_every_check_the_sampler_skips(ranked):
+    # `sample_economy_shares` runs neither `_validity` nor a ranking re-test:
+    # construction guarantees them, and this pins that guarantee
+    for seed in range(5000):
+        e = m.sample_economy_shares(seed, ranked)
+        assert m.validate_economy(e, check_ranking=ranked).ok, seed
+        g = m.ews_matrix(e)
+        assert np.all(np.diag(g.g) < 0), seed
+        assert sum(v < 0 for v in (g.g_LK, g.g_LT, g.g_KT)) <= 1, seed
+        forms = g.determinant_identity()
+        assert min(forms) > 0, seed
+        assert max(forms) - min(forms) < 1e-10 * max(1.0, abs(forms[0])), seed
 
 
 def test_mixed_pool_builds_valid_economies():
