@@ -162,7 +162,8 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     e = _load_valid_economy(args)
-    r = statics.solve_linear(e, _read(args.shock, statics.Shock))
+    with np.errstate(over="ignore", invalid="ignore"):  # `_emit` reports non-finite
+        r = statics.solve_linear(e, _read(args.shock, statics.Shock))
     _emit(r.to_dict(), args)
     return EXIT_OK
 

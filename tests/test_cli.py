@@ -139,6 +139,19 @@ def test_solve_reference_json_digest(e0):
     assert h.hexdigest() == SOLVE_DIGEST
 
 
+def test_solve_overflow_is_a_typed_error_alone(e0_path, tmp_path, capsys):
+    shock = tmp_path / "shock.json"
+    shock.write_text(json.dumps({"p_star": [1e160, 0.0], "v_star": [0, 0, 0]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", e0_path, str(shock)]) == 1
+    out = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert out.out == ""
+    assert out.err.startswith("error: result is not finite")
+    assert len(out.err.splitlines()) == 1 and "Warning" not in out.err
+
+
 def test_solve_malformed_shock(e0_path, tmp_path):
     shock = tmp_path / "shock.json"
     shock.write_text(json.dumps({"p_star": [1.0, 0.0]}))
