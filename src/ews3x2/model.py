@@ -506,9 +506,9 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
 
     Unlike the production-backed sampler this draws the Allen matrices
     freely, so it reaches substitution patterns no single-nest CES technology
-    can produce. Deterministic for a fixed seed. Candidates are tested on
-    plain floats: shares by `_draw_shares`, each sector by `_concave`, then the
-    Allen diagonals' signs and the EWS tests. Each row of `_CHECKS` holds by
+    can produce. Deterministic for a fixed seed. `_draw_shares` tests the
+    shares; the rest is tested on plain floats: each sector by `_concave`, then
+    the Allen diagonals' signs and the EWS tests. Each row of `_CHECKS` holds by
     construction: 0-4, no divisor is below 0.02 * 0.01; 5-11, each sum is of
     terms scaled by one over their sum, or of such sums, so one to a few ulp;
     12, lambda_share is `_allocations`; 13-14, the floors keep shares in
@@ -538,7 +538,7 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
             arrays = (theta_share, _allocations(theta_share, theta_good, theta_factor),
                       theta_good, theta_factor, np.array(sigma))
             g = _ews(arrays[1], _epsilon(theta_share, arrays[4])).tolist()
-            if (max(s[i][i] for s in sigma for i in (T, K, L)) < 0
+            if (max(sg[i][i] for sg in sigma for i in (T, K, L)) < 0
                     and g[T][T] < 0 and g[K][K] < 0 and g[L][L] < 0
                     and (g[L][K] < 0) + (g[L][T] < 0) + (g[K][T] < 0) <= 1
                     and min(_determinant_forms(g, theta_factor.tolist())) > 0):

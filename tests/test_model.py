@@ -242,8 +242,8 @@ def test_share_sampler_digest(ranked):
     assert h.hexdigest() == SHARE_SAMPLER_DIGESTS[ranked]
 
 
-def _lapack_concave(m_):
-    return not np.linalg.eigvalsh(m_)[-1] > CONCAVITY_TOL
+def _lapack_concave(a):
+    return not np.linalg.eigvalsh(a)[-1] > CONCAVITY_TOL
 
 
 def test_concavity_test_is_the_lapack_decision(monkeypatch):
