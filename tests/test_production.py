@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2 import production
-from ews3x2.model import K, L, T
+from ews3x2.model import K, L, T, _validity
 from ews3x2.production import (CobbDouglas, Ces, TwoLevelCes, SampledEconomy,
                                _draw_params, _fill_aes_diagonal, _jacobian,
-                               _newton, _system, _unit_point)
+                               _newton, _sample_rounds, _system, _unit_point)
 from ews3x2.statics import Shock
+from ews3x2.tolerances import STRUCT_TOL
+
+from test_samplers import PRODUCTION_MODES
 
 
 def fd_gradient(spec, w, h=1e-6):
@@ -549,6 +552,16 @@ def test_sampled_economies_validate(seed):
     s = m.sample_economy(seed)
     assert m.validate_economy(s.economy, check_ranking=True).ok
     assert max(s.equilibrium.residuals().values()) < 1e-10
+
+
+@pytest.mark.parametrize("cons", PRODUCTION_MODES.values(),
+                         ids=PRODUCTION_MODES)
+def test_production_samples_meet_every_check_the_sampler_skips(cons):
+    # every candidate a lockstep round accepts meets each row of `_CHECKS`,
+    # seeds 0-1,999: one `_validity` call per round's accepted arrays
+    for ks, arrays, *_ in _sample_rounds(range(2000), cons):
+        ok = _validity(*arrays, cons.ranked, STRUCT_TOL)[0]
+        assert ok.all(), [k for k, o in zip(ks, ok.tolist()) if not o]
 
 
 def test_positive_elasticity_families_give_positive_aggregates():
