@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateObservation, UnsupportedRanking, ZeroP)
+from .errors import (DegenerateObservation, DegenerateShares,
+                     UnsupportedRanking, ZeroP)
 from .geometry import (RYBCZYNSKI_PATTERNS, SubregionLabel, endpoint_a,
                        endpoint_b, quadrant, r_thresholds)
 from .model import (FACTORS, K, L, RatioPoint, T, _allocations,
@@ -124,8 +125,12 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     Factor labels are permuted so the intensity ranking holds with L the
     middle factor; a negative relative-price change is flipped (all rates
     negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo).
+    A distributive share that is not positive raises DegenerateShares.
     """
     th = obs.theta_share
+    if not th.min() > 0.0:
+        raise DegenerateShares("a distributive share is not positive, so the "
+                               "intensity ratios are undefined")
     order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
     perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
     idx = np.array(perm)

@@ -316,6 +316,29 @@ def test_validate_reports_nan_share(e0, tmp_path, capsys):
     assert payload["violations"][0]["magnitude"] is None
 
 
+@pytest.mark.parametrize("command, code", [("validate", 1), ("ews", 2),
+                                           ("estimate", 2)])
+def test_zero_share_row_warns_nothing(e0, tmp_path, capsys, command, code):
+    # a factor row of zero shares, with lambda_share and theta_factor left
+    # to be derived, makes the allocations 0 / 0
+    obs = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0)))
+    d = obs.to_dict() if command == "estimate" else e0.to_dict()
+    d.pop("lambda_share", None), d.pop("theta_factor", None)
+    d["theta_share"] = [[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(doc)]) == code
+    out = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if command == "validate":
+        assert out.out.startswith("non-finite:") and out.err == ""
+    else:
+        field = "lambda_share" if command == "ews" else "a0_prime"
+        assert out.err == f"error: non-finite entries in {field} of {doc}\n"
+
+
 def _run_on(d, tmp_path, command):
     econ = tmp_path / "economy.json"
     econ.write_text(json.dumps(d))
@@ -471,6 +494,27 @@ def test_non_finite_observation_rate_exits_2(e0, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == f"error: non-finite entries in w_star of {path}\n"
     assert out.out == ""
+
+
+@pytest.mark.parametrize("theta_share", [
+    [[0.40, 0.0], [0.15, 0.6], [0.45, 0.4]],  # once estimated with exit 0
+    [[0.45, 0.0], [0.2, 0.5], [0.35, 0.5]],
+    [[0.45, -0.1], [0.2, 0.6], [0.35, 0.5]],
+])
+def test_share_that_is_not_positive_is_a_typed_error_alone(e0, tmp_path, capsys,
+                                                           theta_share):
+    d = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0))).to_dict()
+    d["theta_share"] = theta_share
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert out.out == ""
+    assert out.err == ("error: a distributive share is not positive, so the "
+                       "intensity ratios are undefined\n")
 
 
 MISSHAPEN_OBSERVATION = {
