@@ -177,6 +177,21 @@ def mixed_pool(seed, size):
             for k in range(size)]
 
 
+@pytest.fixture(scope="session")
+def share_samples():
+    """(economy, end generator state) of `sample_economy_shares` on
+    default_rng(seed), seeds 0-4,999, by `ranked`: one draw per seed and mode
+    serves every share-sampler test."""
+    out = {}
+    for ranked in (True, False):
+        out[ranked] = []
+        for seed in range(5000):
+            rng = np.random.default_rng(seed)
+            out[ranked].append((m.sample_economy_shares(rng, ranked),
+                                rng.bit_generator.state))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Second routes to results the library computes one way, kept as checks.
 

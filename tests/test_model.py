@@ -230,15 +230,13 @@ SHARE_SAMPLER_DIGESTS = {
 
 
 @pytest.mark.parametrize("ranked", [True, False])
-def test_share_sampler_digest(ranked):
+def test_share_sampler_digest(ranked, share_samples):
     h = hashlib.sha256()
-    for seed in range(2000):
-        rng = np.random.default_rng(seed)
-        e = m.sample_economy_shares(rng, ranked)
+    for e, state in share_samples[ranked][:2000]:
         for name in ("theta_share", "lambda_share", "theta_good",
                      "theta_factor", "sigma"):
             h.update(getattr(e, name).tobytes())
-        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        h.update(json.dumps(state, sort_keys=True).encode())
     assert h.hexdigest() == SHARE_SAMPLER_DIGESTS[ranked]
 
 
@@ -275,11 +273,11 @@ def test_concavity_test_is_the_lapack_decision(monkeypatch):
 
 
 @pytest.mark.parametrize("ranked", [True, False])
-def test_sampled_economies_meet_every_check_the_sampler_skips(ranked):
+def test_sampled_economies_meet_every_check_the_sampler_skips(ranked,
+                                                             share_samples):
     # `sample_economy_shares` runs neither `_validity` nor a ranking re-test:
     # construction guarantees them, and this pins that guarantee
-    for seed in range(5000):
-        e = m.sample_economy_shares(seed, ranked)
+    for seed, (e, _) in enumerate(share_samples[ranked]):
         assert m.validate_economy(e, check_ranking=ranked).ok, seed
         g = m.ews_matrix(e)
         assert np.all(np.diag(g.g) < 0), seed

@@ -159,13 +159,13 @@ PRODUCTION_MODES = {
 
 
 @pytest.mark.parametrize("ranked", SHARE_MODES.values(), ids=SHARE_MODES)
-def test_share_sampler_keeps_the_stream(ranked):
+def test_share_sampler_keeps_the_stream(ranked, share_samples):
     for seed in SEEDS:
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        e = m.sample_economy_shares(rng, ranked=ranked)
+        e, state = share_samples[ranked][seed]  # drawn from default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
         ref, _ = reference_sample_economy_shares(ref_rng, ranked=ranked)
         assert_same_economy(e, ref)
-        assert same_state(rng, ref_rng), seed
+        assert state == ref_rng.bit_generator.state, seed
 
 
 @pytest.mark.parametrize("cons", PRODUCTION_MODES.values(),
