@@ -72,9 +72,8 @@ def _read(path: str, cls, finite: bool = True):
     is_csv = cls is est.Observation and path.endswith(".csv")
     what = f"{cls.__name__.lower()} {'CSV' if is_csv else 'document'} {path}"
     try:
-        # a share row of zeros derives non-finite allocations, reported below
         with (open(path, newline="" if is_csv else None) as fh,
-              np.errstate(divide="ignore", invalid="ignore")):
+              np.errstate(divide="ignore", invalid="ignore")):  # 0/0: flagged below
             doc = cls.from_dict(_csv_document(fh) if is_csv else json.load(fh))
     except (OSError, LookupError, ValueError, TypeError, csv.Error, Ews3x2Error) as exc:
         if not is_csv and isinstance(exc, (OSError, json.JSONDecodeError)):

@@ -125,15 +125,12 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     Factor labels are permuted so the intensity ranking holds with L the
     middle factor; a negative relative-price change is flipped (all rates
     negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo).
-    A distributive share that is not positive raises DegenerateShares.
     """
     th = obs.theta_share
-    if not th.min() > 0.0:
-        raise DegenerateShares("a distributive share is not positive, so the "
-                               "intensity ratios are undefined")
+    if not th.min() > 0.0:  # the intensity ratios divide by the shares
+        raise DegenerateShares("a distributive share is not positive")
     order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
-    perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
-    idx = np.array(perm)
+    idx = [order[0], order[2], order[1]]  # T = max ratio, K = min, L = middle
     th = th[idx]
     if not intensity_ranked(th):
         raise UnsupportedRanking(
@@ -149,7 +146,7 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
                       p_star=sign * obs.p_star, w_star=sign * obs.w_star[idx],
                       a_star=None if obs.a_star is None else sign * obs.a_star[idx],
                       a0_prime=sign * obs.a0_prime[idx])
-    return out, PreprocessInfo(perm, flipped)
+    return out, PreprocessInfo(tuple(idx), flipped)
 
 
 def point_a(obs: Observation) -> RatioPoint:

@@ -426,17 +426,14 @@ def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
     candidate as it would alone, evaluated at the unit point (`_unit_point`).
     Yields per round the seeds ks accepted, their snapshot arrays, V, X, a,
     income and sectors' (family, column, params); raises after the seeds
-    before the first one out of budget are accepted.
-
-    A round tests only the ranking and the quadrant: each row of `_CHECKS`
-    holds by construction. 0-4, every value is finite; 5-12, the sums and the
-    share link hold to about 2e-13 (the CES powers of a sum of shares), far
-    inside STRUCT_TOL; 13-14, the 0.02 floor and X in [0.5, 2] keep shares
-    and allocations in (0, 1); 15-28, sigma is symmetric by assignment and
-    `_aes_diagonal` zeroes its rows with strictly negative diagonals (for a
-    nested factor the numerator is s_out m1 (1 - theta_M) + s_in m2 > 0, m
-    the inner shares); 29-30, `_draw_shares` ranked the drawn shares, but the
-    snapshot's move by about 2e-13 relative, so a near-tie is tested again."""
+    before the first one out of budget are accepted. Each row of `_CHECKS`
+    holds by construction: 0-14, values are finite, sums and share link are
+    within about 1,000 ulp (far inside STRUCT_TOL), and the 0.02 floor and
+    X in [0.5, 2] keep shares and allocations in (0, 1); 15-28, sigma is
+    symmetric and `_aes_diagonal` zeroes its rows with negative diagonals (a
+    nested factor's numerator is s_out m1 (1 - theta_M) + s_in m2, m the inner
+    shares). Only 29-30 is tested again: CES powers move a drawn share by up
+    to 1,000 ulp, enough to flip a near-tie."""
     # only land-capital complementarity can reach quadrant IV
     nest = (T, K) if cons.quadrant == "IV" else None
     families = ("two_level_ces",) if nest else cons.families
@@ -466,8 +463,7 @@ def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
         V = np.matmul(a, X[..., None])[..., 0]
         income = X[:, 0] + X[:, 1]
         arrays = _snapshot_shares(w, p, V, X, a, income) + (sigma,)
-        ok = (intensity_ranked(arrays[0]) if cons.ranked
-              else np.ones(len(ks), dtype=bool))
+        ok = intensity_ranked(arrays[0]) if cons.ranked else np.ones(len(ks), bool)
         if cons.quadrant is not None:
             s, u = _ews_ratios(_ews(arrays[1], _epsilon(arrays[0], sigma)))
             ok &= in_quadrant(s, u, cons.quadrant)

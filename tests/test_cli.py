@@ -513,8 +513,7 @@ def test_share_that_is_not_positive_is_a_typed_error_alone(e0, tmp_path, capsys,
     out = capsys.readouterr()
     assert [str(w.message) for w in caught] == []
     assert out.out == ""
-    assert out.err == ("error: a distributive share is not positive, so the "
-                       "intensity ratios are undefined\n")
+    assert out.err == "error: a distributive share is not positive\n"
 
 
 MISSHAPEN_OBSERVATION = {
