@@ -130,7 +130,8 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     if not th.min() > 0.0:  # the intensity ratios divide by the shares
         raise DegenerateShares("a distributive share is not positive")
     order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
-    idx = [order[0], order[2], order[1]]  # T = max ratio, K = min, L = middle
+    perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
+    idx = np.array(perm)
     th = th[idx]
     if not intensity_ranked(th):
         raise UnsupportedRanking(
@@ -146,7 +147,7 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
                       p_star=sign * obs.p_star, w_star=sign * obs.w_star[idx],
                       a_star=None if obs.a_star is None else sign * obs.a_star[idx],
                       a0_prime=sign * obs.a0_prime[idx])
-    return out, PreprocessInfo(tuple(idx), flipped)
+    return out, PreprocessInfo(perm, flipped)
 
 
 def point_a(obs: Observation) -> RatioPoint:

@@ -426,14 +426,13 @@ def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
     candidate as it would alone, evaluated at the unit point (`_unit_point`).
     Yields per round the seeds ks accepted, their snapshot arrays, V, X, a,
     income and sectors' (family, column, params); raises after the seeds
-    before the first one out of budget are accepted. Each row of `_CHECKS`
-    holds by construction: 0-14, values are finite, sums and share link are
-    within about 1,000 ulp (far inside STRUCT_TOL), and the 0.02 floor and
-    X in [0.5, 2] keep shares and allocations in (0, 1); 15-28, sigma is
-    symmetric and `_aes_diagonal` zeroes its rows with negative diagonals (a
-    nested factor's numerator is s_out m1 (1 - theta_M) + s_in m2, m the inner
-    shares). Only 29-30 is tested again: CES powers move a drawn share by up
-    to 1,000 ulp, enough to flip a near-tie."""
+    before the first one out of budget are accepted. Construction meets each
+    row of `_CHECKS`: 0-14, all is finite, sums and share link are off by at
+    most 1,000 ulp (far inside STRUCT_TOL), and the 0.02 floor and X in
+    [0.5, 2] keep shares and allocations in (0, 1); 15-28, sigma is symmetric,
+    `_aes_diagonal` zeroes its rows, and its diagonals are negative (a nested
+    factor's numerator is s_out m1 (1 - theta_M) + s_in m2, m the inner shares);
+    29-30 is tested again, as the CES powers can move the shares across a tie."""
     # only land-capital complementarity can reach quadrant IV
     nest = (T, K) if cons.quadrant == "IV" else None
     families = ("two_level_ces",) if nest else cons.families
