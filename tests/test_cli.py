@@ -323,7 +323,8 @@ def test_zero_share_row_warns_nothing(e0, tmp_path, capsys, command, code):
     # to be derived, makes the allocations 0 / 0
     obs = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0)))
     d = obs.to_dict() if command == "estimate" else e0.to_dict()
-    d.pop("lambda_share", None), d.pop("theta_factor", None)
+    for derived in ("lambda_share", "theta_factor"):
+        d.pop(derived, None)
     d["theta_share"] = [[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(d))
