@@ -415,6 +415,29 @@ def test_far_start_failures_do_not_grow():
     assert failed <= FAR_START_FAILURES
 
 
+#: starts no Newton solve can begin from: an entry of w0 at -1, 0, NaN or
+#: 1e200, or outputs whose coefficient products overflow
+BAD_STARTS = [
+    *((tuple(bad if k == i else 1.0 for k in range(3)), (1.0, 1.0))
+      for bad in (-1.0, 0.0, np.nan, 1e200) for i in range(3)),
+    ((1.0, 1.0, 1.0), (1e300, 1e300))]
+
+
+@pytest.mark.parametrize("families", [
+    (f1, f2) for f1 in sorted(FAMILY_KW) for f2 in sorted(FAMILY_KW)],
+    ids="-".join)
+def test_bad_starts_raise_singular_system(families):
+    # the residual or Jacobian at such a start is not finite, so the first
+    # solve refuses it; no raw arithmetic error may escape instead
+    cols = ([0.45, 0.2, 0.35], [0.2, 0.5, 0.3])
+    specs = tuple(m.calibrated_spec(f, col, **FAMILY_KW[f])
+                  for f, col in zip(families, cols))
+    V = np.array(cols).T @ [1.2, 0.8]
+    for w0, x0 in BAD_STARTS:
+        with np.errstate(all="ignore"), pytest.raises(m.SingularSystem):
+            m.solve_equilibrium(specs, np.ones(2), V, w0=w0, x0=x0)
+
+
 CD_SPECS = (m.calibrated_spec("cobb_douglas", [0.45, 0.2, 0.35]),
             m.calibrated_spec("cobb_douglas", [0.2, 0.5, 0.3]))
 CD_A = np.array([[0.45, 0.2], [0.2, 0.5], [0.35, 0.3]])
