@@ -127,8 +127,9 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo).
     """
     th = obs.theta_share
-    if not th.min() > 0.0:  # the intensity ratios divide by the shares
-        raise DegenerateShares("a distributive share is not positive")
+    for name, shares in (("distributive", th), ("goods income", obs.theta_good)):
+        if not shares.min() > 0.0:  # intensity ratios and allocations divide by them
+            raise DegenerateShares(f"a {name} share is not positive")
     order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
     perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
     idx = np.array(perm)

@@ -23,14 +23,21 @@ from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL
 
 
 class _CostFamily:
-    """Allen elasticities from a family's cross (off-diagonal) elasticities."""
+    """Unit cost, coefficients and cross Allen elasticities, each stated once on
+    factor columns wt[i]: floats, numpy scalars, or the rows of w.T (a batch)."""
+
+    def unit_cost(self, w):
+        c, at = self.cost_columns(np.asarray(w, dtype=float).T)
+        return c.T, np.array(at, dtype=float).T
 
     def aes(self, w, cost=None):
-        """`cross_aes(w, (c, a))` (..., 3, 3), its diagonal set so that every
+        """`cross_columns` (..., 3, 3), its diagonal set so that every
         share-weighted row sums to zero; (c, a) is `cost` or unit_cost(w)."""
         w = np.asarray(w, dtype=float)
         c, a = self.unit_cost(w) if cost is None else cost
-        sig = np.broadcast_to(self.cross_aes(w, (c, a)), w.shape + (3,))
+        sig, cross = np.empty(w.shape + (3,)), self.cross_columns(w.T, c.T, a.T)
+        for i, h in np.ndindex(3, 3):
+            sig.T[h, i] = cross[i][h]
         return _fill_aes_diagonal(sig, self._shares(w, c, a))
 
     @staticmethod
@@ -38,24 +45,25 @@ class _CostFamily:
         """Distributive shares a_i w_i / (a . w) over the last axis."""
         return a * w / np.vecdot(a, w, keepdims=True)
 
+    def cross_columns(self, wt, c, at):  # sig[i][h], i != h
+        return [[self.s] * 3] * 3
+
 
 @dataclass(frozen=True)
 class CobbDouglas(_CostFamily):
     """c(w) = prod_i w_i^alpha[i], alpha on the simplex."""
 
     form = "cobb_douglas"
+    s = 1.0  # every Allen elasticity off the diagonal
     alpha: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.array(self.alpha, dtype=float))
 
-    def unit_cost(self, w):
-        w = np.asarray(w, dtype=float)
-        c = (w ** self.alpha).prod(axis=-1)
-        return c, self.alpha * c[..., None] / w
-
-    def cross_aes(self, w, cost):
-        return 1.0
+    def cost_columns(self, wt):
+        a0, a1, a2 = self.alpha.tolist()
+        c = wt[0] ** a0 * wt[1] ** a1 * wt[2] ** a2
+        return c, [a0 * c / wt[0], a1 * c / wt[1], a2 * c / wt[2]]
 
 
 @dataclass(frozen=True)
@@ -71,16 +79,11 @@ class Ces(_CostFamily):
         if self.s <= 0 or self.s == 1.0:
             raise ValueError("CES elasticity must be positive and != 1")
 
-    def unit_cost(self, w):
-        w = np.asarray(w, dtype=float)
-        rho = 1.0 - self.s
-        base = np.vecdot(w ** rho, self.delta)
+    def cost_columns(self, wt):
+        d, rho = self.delta.tolist(), 1.0 - self.s
+        base = d[0] * wt[0] ** rho + d[1] * wt[1] ** rho + d[2] * wt[2] ** rho
         c = base ** (1.0 / rho)
-        a = c[..., None] * self.delta * w ** (rho - 1.0) / base[..., None]
-        return c, a
-
-    def cross_aes(self, w, cost):
-        return self.s
+        return c, [c * d[i] * wt[i] ** (rho - 1.0) / base for i in range(3)]
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,6 @@ class TwoLevelCes(_CostFamily):
     elasticity s_out; the nested pair has s_out + (s_in - s_out)/theta_M,
     which is negative when the inner elasticity is small enough relative to
     the outer one.
-
-    Factor columns are taken as ``w.T[i]``: a numpy scalar at one point, a
-    strided view over a batch.
     """
 
     form = "two_level_ces"
@@ -115,35 +115,30 @@ class TwoLevelCes(_CostFamily):
         for s in (self.s_in, self.s_out):
             if s <= 0 or s == 1.0:
                 raise ValueError("nest elasticities must be positive and != 1")
+        object.__setattr__(self, "outside", ({T, K, L} - set(self.nest)).pop())
 
-    @property
-    def outside(self) -> int:
-        return ({T, K, L} - set(self.nest)).pop()
-
-    def unit_cost(self, w):
-        wt = np.asarray(w, dtype=float).T
-        i1, i2 = self.nest
-        out = self.outside
+    def cost_columns(self, wt):
+        (i1, i2), out = self.nest, self.outside
+        (mu1, mu2), (nu_m, nu_out) = self.mu.tolist(), self.nu.tolist()
         rin = 1.0 - self.s_in
-        base_in = self.mu[0] * wt[i1] ** rin + self.mu[1] * wt[i2] ** rin
+        base_in = mu1 * wt[i1] ** rin + mu2 * wt[i2] ** rin
         q = base_in ** (1.0 / rin)
         rho = 1.0 - self.s_out
-        base = self.nu[0] * q ** rho + self.nu[1] * wt[out] ** rho
+        base = nu_m * q ** rho + nu_out * wt[out] ** rho
         c = base ** (1.0 / rho)
         # outer demands: composite and the outside factor
-        a_m = c * self.nu[0] * q ** (rho - 1.0) / base
-        at = np.empty(wt.shape)
-        at[out] = c * self.nu[1] * wt[out] ** (rho - 1.0) / base
-        at[i1] = a_m * self.mu[0] * wt[i1] ** (rin - 1.0) * q / base_in
-        at[i2] = a_m * self.mu[1] * wt[i2] ** (rin - 1.0) * q / base_in
-        return c.T, at.T
+        a_m = c * nu_m * q ** (rho - 1.0) / base
+        at = [None] * 3
+        at[out] = c * nu_out * wt[out] ** (rho - 1.0) / base
+        at[i1] = a_m * mu1 * wt[i1] ** (rin - 1.0) * q / base_in
+        at[i2] = a_m * mu2 * wt[i2] ** (rin - 1.0) * q / base_in
+        return c, at
 
-    def cross_aes(self, w, cost):
-        st = self._shares(w, *cost).T
+    def cross_columns(self, wt, c, at):
         i1, i2 = self.nest
-        sig = np.full(np.shape(w) + (3,), self.s_out)
-        sig.T[i1, i2] = sig.T[i2, i1] = (
-            self.s_out + (self.s_in - self.s_out) / (st[i1] + st[i2]))
+        sig = [[self.s_out] * 3 for _ in range(3)]  # shares over the unit cost
+        sig[i1][i2] = sig[i2][i1] = self.s_out + (self.s_in - self.s_out) / (
+            at[i1] * wt[i1] / c + at[i2] * wt[i2] / c)
         return sig
 
     @staticmethod
@@ -241,14 +236,27 @@ class EquilibriumPoint:
         }
 
 
+def _on_columns(build, *arrays):
+    """build on the columns x.T of arrays of one batch shape: nested Python
+    floats at one point, numpy scalars where float arithmetic fails."""
+    try:
+        return build(*[x.T.tolist() if arrays[0].ndim == 1 else x.T for x in arrays])
+    except (ArithmeticError, TypeError):  # float ** and / raise, or ** is complex,
+        return build(*[x.T for x in arrays])  # where numpy gives inf or nan
+
+
 def _system(specs, p, V, w, X):
-    """Residuals f (..., 5), coefficients a (..., 3, 2) and unit costs
-    c (..., 2) at (w, X) over any leading batch shape."""
-    c = np.empty(w.shape[:-1] + (2,))
-    a = np.empty(w.shape + (2,))
-    for j in range(2):
-        c[..., j], a[..., j] = specs[j].unit_cost(w)
-    f = np.concatenate([c - p, (a @ X[..., None])[..., 0] - V], -1)
+    """Residuals f (..., 5), coefficients a (..., 3, 2) and unit costs c (..., 2)
+    at (w, X), from the families' `cost_columns`; f also takes V's batch axes."""
+
+    def build(wt, xt):
+        (c0, a0), (c1, a1) = specs[0].cost_columns(wt), specs[1].cost_columns(wt)
+        ax = [a0[i] * xt[0] + a1[i] * xt[1] for i in range(3)]
+        return tuple(np.array(x, dtype=float).T for x in ([c0, c1], [a0, a1], ax))
+
+    c, a, ax = _on_columns(build, w, X)
+    f = np.empty((fe := ax - V).shape[:-1] + (5,))
+    f[..., :2], f[..., 2:] = c - p, fe
     return f, a, c
 
 
@@ -256,19 +264,25 @@ def _jacobian(specs, w, X, a, c):
     """Newton Jacobian of `_system` in (w, X), from the (c, a) it returned:
     d(a X)/dw is the cost Hessian sum_j (X_j / c_j) a_ij a_hj sigma_jih off
     the diagonal (Allen-Uzawa), and a's homogeneity in w sets the diagonal."""
-    jac = np.zeros(w.shape[:-1] + (5, 5))
-    jac[..., :2, :3] = a.swapaxes(-1, -2)
-    jac[..., 2:, 3:] = a
-    ak = a * (X / c)[..., None, :]
-    hessian = sum(ak[..., :, None, j] * a[..., None, :, j]
-                  * specs[j].cross_aes(w, (c[..., j], a[..., j])) for j in range(2))
-    jac[..., 2:, :3] = _fill_aes_diagonal(hessian, w)
+
+    def hessian(wt, xt, at, ct):
+        sig = [spec.cross_columns(wt, ct[j], at[j]) for j, spec in enumerate(specs)]
+        ak = [[a_ij * (xt[j] / ct[j]) for a_ij in at[j]] for j in range(2)]
+        hess = [[ak[0][i] * at[0][h] * sig[0][i][h] + ak[1][i] * at[1][h] * sig[1][i][h]
+                 if h != i else 0.0 for h in range(3)] for i in range(3)]
+        hess[T][T], hess[K][K], hess[L][L] = _aes_diagonal(hess, wt)
+        return np.array(hess, dtype=float)
+
+    jac = np.zeros(a.shape[:-2] + (5, 5))
+    jac[..., :2, :3], jac[..., 2:, 3:] = a.swapaxes(-1, -2), a
+    jac[..., 2:, :3] = _on_columns(hessian, w, X, a, c).T.swapaxes(-1, -2)
     return jac
 
 
 def _newton(specs, p, V, w0, x0):
-    """Damped Newton solve of {zero profit x2, full employment x3} at prices
-    p for endowment vectors V (..., 3), every member from the start (w0, x0).
+    """Damped Newton solve of {zero profit x2, full employment x3} at prices p
+    for endowment vectors V (..., 3) from the start (w0, x0), whose leading axes
+    are V's or none; members that share it share its costs and first Jacobian.
 
     Unknowns are (w_T, w_K, w_L, X_1, X_2). Steps are clipped to 50% of any
     coordinate to preserve positivity and halved while the residual does not
@@ -277,14 +291,13 @@ def _newton(specs, p, V, w0, x0):
     the members whose residual has not fallen. Returns w (..., 3), X (..., 2)
     and a (..., 3, 2); the first failure met raises for the whole batch.
     """
-    scale = np.concatenate([np.broadcast_to(p, V.shape[:-1] + (2,)), V],
-                           axis=-1)
+    scale = np.concatenate([np.broadcast_to(p, V.shape[:-1] + (2,)), V], axis=-1)
 
     def evaluate(z):
         f, a, c = _system(specs, p, V, z[..., :3], z[..., 3:])
         return z, f, a, c, np.abs(f / scale).max(axis=-1)
 
-    z = np.empty(V.shape[:-1] + (5,))
+    z = np.empty((np.shape(w0)[:-1] or np.shape(x0)[:-1]) + (5,))
     z[..., :3], z[..., 3:] = w0, x0
     z, f, a, c, norm = evaluate(z)
     for _ in range(NEWTON_MAX_ITER):
@@ -292,10 +305,12 @@ def _newton(specs, p, V, w0, x0):
         if not live.any():
             break
         jac = _jacobian(specs, z[..., :3], z[..., 3:], a, c)
-        step = -solve_partial_pivot(jac, f)
+        step = -solve_partial_pivot(jac, f[..., None])[..., 0]
         clip = (np.abs(step) / (0.5 * z)).max(axis=-1)
-        step /= np.maximum(clip, 1.0)[..., None]
-        step[~live] = 0.0  # converged members stay where they are
+        if (~(clip <= 1.0)).any():  # a NaN clip divides too
+            step /= np.maximum(clip, 1.0)[..., None]
+        if not live.all():
+            step[~live] = 0.0  # converged members stay where they are
         # members whose residual did not fall retry at 1/2, 1/4, ..., 1/2^39;
         # the others keep the step they took
         trial = evaluate(z + step)
@@ -306,13 +321,15 @@ def _newton(specs, p, V, w0, x0):
                 raise NonConvergence(
                     f"line search stalled at residual {np.max(norm[retry]):.3e}")
             lam *= 0.5
-            trial = evaluate(np.where(retry[..., None], z + lam * step,
-                                      trial[0]))
+            trial = evaluate(np.where(retry[..., None], z + lam * step, trial[0]))
             retry &= ~(trial[-1] < norm)
         z, f, a, c, norm = trial
     else:
         raise NonConvergence(f"no convergence after {NEWTON_MAX_ITER} "
                              f"iterations (residual {np.max(norm):.3e})")
+    if z.shape[:-1] != norm.shape:  # converged at the start its members share
+        z = np.broadcast_to(z, norm.shape + (5,)).copy()
+        a = np.broadcast_to(a, norm.shape + (3, 2)).copy()
     X = z[..., 3:]
     bad = (X <= 0).any(axis=-1)
     if bad.any():
@@ -326,10 +343,8 @@ def solve_equilibrium(specs, p, V, w0=None, x0=None) -> EquilibriumPoint:
     unit point: `_newton` with no batch axis. Converges to a relative
     residual below NEWTON_TOL.
     """
-    p = np.asarray(p, dtype=float)
-    V = np.asarray(V, dtype=float)
-    w, X, a = _newton(specs, p, V, 1.0 if w0 is None else w0,
-                      1.0 if x0 is None else x0)
+    p, V = np.asarray(p, dtype=float), np.asarray(V, dtype=float)
+    w, X, a = _newton(specs, p, V, 1.0 if w0 is None else w0, 1.0 if x0 is None else x0)
     return EquilibriumPoint(w, p, V, X, a, float(p @ X))
 
 
@@ -350,20 +365,21 @@ def economy_snapshot(eq: EquilibriumPoint, specs) -> Economy:
                    sigma)
 
 
+#: fd_rybczynski's relative endowment bumps: rows V_1 up, V_1 down, V_2 up, ...
+_BUMPS = np.kron(np.eye(3), [[1.0], [-1.0]])
+
+
 def fd_rybczynski(specs, p, V, h: float = 1e-4, base: EquilibriumPoint | None = None):
     """Finite-difference output elasticities to endowment changes.
 
     Central differences with relative step h on each V_i, the six perturbed
-    equilibria solved as one Newton batch from the base point; the
+    equilibria solved as one Newton batch from the base point they share; the
     independent nonlinear oracle for the linearized Rybczynski matrix.
     """
-    p = np.asarray(p, dtype=float)
-    V = np.asarray(V, dtype=float)
+    p, V = np.asarray(p, dtype=float), np.asarray(V, dtype=float)
     if base is None:
         base = solve_equilibrium(specs, p, V)
-    # rows V_1 up, V_1 down, V_2 up, ...
-    bumps = np.kron(np.eye(3), [[1.0], [-1.0]])
-    _, X, _ = _newton(specs, p, V * (1.0 + h * bumps), base.w, base.X)
+    _, X, _ = _newton(specs, p, V * (1.0 + h * _BUMPS), base.w, base.X)
     return ((X[0::2] - X[1::2]) / base.X / (2.0 * h)).T
 
 

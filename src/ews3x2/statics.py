@@ -9,7 +9,7 @@ response; the data-side checks of the sign lemmas are in `estimate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -18,26 +18,29 @@ from .model import Economy, _epsilon, _ews
 from .tolerances import COND_LIMIT, RESIDUAL_TOL, SCALE_FLOOR, ZERO_TOL
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n), (n, n))  # read-only, one per size
+
+
 def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve small dense systems by LAPACK LU with partial pivoting (gesv).
 
     a is (..., n, n); b is a stack of vectors (..., n) when it has one
-    dimension fewer than a, else of matrices (..., n, k), and its leading
-    axes broadcast against a's. One factorisation per member solves for
-    [b | I], which yields both x and the inverse; if any member's 1-norm
-    condition number ||A||_1 ||A^-1||_1 exceeds COND_LIMIT or is not finite,
-    SingularSystem is raised.
+    dimension fewer than a, else of matrices (..., n, k), and the leading
+    axes of a and b broadcast against each other. One factorisation per
+    member solves for [b | I], which yields both x and the inverse; if any
+    member's 1-norm condition number ||A||_1 ||A^-1||_1 exceeds COND_LIMIT or
+    is not finite, SingularSystem is raised.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = a.shape[-1]
-    vectors = b.ndim == a.ndim - 1
-    if vectors:
+    if vectors := b.ndim == a.ndim - 1:
         b = b[..., None]
     k = b.shape[-1]
-    rhs = np.empty(a.shape[:-1] + (k + n,))
+    rhs = np.empty(b.shape[:-1] + (k + n,))  # the solve broadcasts a against it
     rhs[..., :k] = b
-    rhs[..., k:] = np.eye(n)
+    rhs[..., k:] = _identity(n)
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:

@@ -517,6 +517,20 @@ def test_share_that_is_not_positive_is_a_typed_error_alone(e0, tmp_path, capsys,
     assert out.err == "error: a distributive share is not positive\n"
 
 
+@pytest.mark.parametrize("theta_good", [[1.0, 0.0], [1.2, -0.2]])
+def test_goods_share_that_is_not_positive_is_a_typed_error(e0, tmp_path, capsys,
+                                                           theta_good):
+    # both once exited 0 with an inconclusive verdict
+    d = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0))).to_dict()
+    d["theta_good"] = theta_good
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(d))
+    assert main(["estimate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: a goods income share is not positive\n"
+
+
 MISSHAPEN_OBSERVATION = {
     "w_star of length 2": ("w_star", lambda d: d["w_star"][:2]),
     "w_star of length 4": ("w_star", lambda d: d["w_star"] + [0.1]),

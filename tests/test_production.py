@@ -93,15 +93,18 @@ def test_homogeneity(spec):
 
 def point_unit_cost(spec, w):
     """The one-point closed forms, in the arithmetic order the spec methods
-    keep at a single point."""
+    keep at a single point: one scalar power per factor (numpy's array power
+    may differ from it in the last bit), and plain sums."""
     if isinstance(spec, CobbDouglas):
-        c = float(np.prod(w ** spec.alpha))
+        c = float(w[0] ** spec.alpha[0] * w[1] ** spec.alpha[1]
+                  * w[2] ** spec.alpha[2])
         return c, spec.alpha * c / w
     if isinstance(spec, Ces):
         rho = 1.0 - spec.s
-        base = float(spec.delta @ w ** rho)
+        base = float(spec.delta[0] * w[0] ** rho + spec.delta[1] * w[1] ** rho
+                     + spec.delta[2] * w[2] ** rho)
         c = base ** (1.0 / rho)
-        return c, c * spec.delta * w ** (rho - 1.0) / base
+        return c, c * spec.delta * np.array([x ** (rho - 1.0) for x in w]) / base
     i1, i2 = spec.nest
     out = spec.outside
     rin = 1.0 - spec.s_in
@@ -346,19 +349,19 @@ def test_fd_rybczynski_batch_equals_solo_solves():
 
 
 class CountingSpec:
-    """Counts residual evaluations (unit_cost) and Newton iterations
-    (cross_aes, once per Jacobian)."""
+    """Counts residual evaluations (cost_columns) and Newton iterations
+    (cross_columns, once per Jacobian)."""
 
     def __init__(self, spec):
         self.spec, self.costs, self.iterations = spec, 0, 0
 
-    def unit_cost(self, w):
+    def cost_columns(self, wt):
         self.costs += 1
-        return self.spec.unit_cost(w)
+        return self.spec.cost_columns(wt)
 
-    def cross_aes(self, w, cost):
+    def cross_columns(self, wt, c, at):
         self.iterations += 1
-        return self.spec.cross_aes(w, cost)
+        return self.spec.cross_columns(wt, c, at)
 
 
 def test_newton_batch_members_take_their_solo_steps():
@@ -389,6 +392,40 @@ def test_newton_batch_members_take_their_solo_steps():
         solo = m.solve_equilibrium(s.specs, eq.p, V[k], w0=w0[k], x0=x0[k])
         np.testing.assert_allclose(X[k], solo.X, rtol=1e-10)
         np.testing.assert_allclose(w[k], solo.w, rtol=1e-10)
+
+
+class ShapeSpec:
+    """Records the shape of the factor columns that each family method takes."""
+
+    def __init__(self, spec):
+        self.spec, self.calls = spec, []
+
+    def cost_columns(self, wt):
+        self.calls.append(("cost", np.shape(wt[0])))
+        return self.spec.cost_columns(wt)
+
+    def cross_columns(self, wt, c, at):
+        self.calls.append(("cross", np.shape(wt[0])))
+        return self.spec.cross_columns(wt, c, at)
+
+
+def test_members_sharing_a_start_share_its_first_evaluation():
+    for s in m.sample_economies(range(2024, 2034), m.SampleConstraints(ranked=True)):
+        eq = s.equilibrium
+        V = eq.V * (1.0 + 1e-4 * production._BUMPS)
+        shared = _newton(s.specs, eq.p, V, eq.w, eq.X)
+        repeated = _newton(s.specs, eq.p, V, np.tile(eq.w, (6, 1)),
+                           np.tile(eq.X, (6, 1)))
+        for x, ref in zip(shared, repeated):
+            assert x.shape == ref.shape
+            np.testing.assert_allclose(x, ref, rtol=1e-12, atol=0)
+        # fd_rybczynski's first residual costs and Jacobian are taken at one
+        # point, not on the (6, 3) batch of bumped endowments
+        specs = tuple(ShapeSpec(sp) for sp in s.specs)
+        m.fd_rybczynski(specs, eq.p, eq.V, base=eq)
+        for spec in specs:
+            assert spec.calls[:2] == [("cost", ()), ("cross", ())]
+            assert spec.calls[2] == ("cost", (6,))
 
 
 #: seeds of 2024-2323 whose cold far-start solve raised NonConvergence when
