@@ -128,7 +128,7 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     """
     th = obs.theta_share
     for name, shares in (("distributive", th), ("goods income", obs.theta_good)):
-        if not shares.min() > 0.0:  # intensity ratios and allocations divide by them
+        if not shares.min() > 0.0:  # intensity ratios and allocations need them positive
             raise DegenerateShares(f"a {name} share is not positive")
     order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
     perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle

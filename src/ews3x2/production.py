@@ -46,7 +46,7 @@ class _CostFamily:
         return a * w / np.vecdot(a, w, keepdims=True)
 
     def cross_columns(self, wt, c, at):  # sig[i][h], i != h
-        return [[self.s] * 3] * 3
+        return [[self.s] * 3 for _ in range(3)]
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,9 @@ class TwoLevelCes(_CostFamily):
 
     def cross_columns(self, wt, c, at):
         i1, i2 = self.nest
-        sig = [[self.s_out] * 3 for _ in range(3)]  # shares over the unit cost
+        sig = [[self.s_out] * 3 for _ in range(3)]
         sig[i1][i2] = sig[i2][i1] = self.s_out + (self.s_in - self.s_out) / (
-            at[i1] * wt[i1] / c + at[i2] * wt[i2] / c)
+            at[i1] * wt[i1] / c + at[i2] * wt[i2] / c)  # shares over the unit cost
         return sig
 
     @staticmethod
