@@ -45,12 +45,17 @@ class Observation:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         if self.a_star is not None:
             object.__setattr__(self, "a_star", np.array(self.a_star, dtype=float))
-            object.__setattr__(self, "a0_prime",
-                               np.einsum("ij,ij->i", self.lambda_share, self.a_star))
         elif self.a0_prime is not None:
             object.__setattr__(self, "a0_prime", np.array(self.a0_prime, dtype=float))
         else:
             raise DegenerateObservation("need a_star or a0_prime")
+        self._aggregate()
+
+    def _aggregate(self):
+        """Recompute a0_prime from a_star, when a_star is given."""
+        if self.a_star is not None:
+            object.__setattr__(self, "a0_prime",
+                               np.einsum("ij,ij->i", self.lambda_share, self.a_star))
 
     @cached_property
     def theta_factor(self) -> np.ndarray:
@@ -78,7 +83,7 @@ class Observation:
     def labels(self) -> tuple:
         """(ranking of xyz, sign letter of a0_prime) in the dead band."""
         band = DEAD_BAND * self.rate_scale
-        return ranking_label(self.xyz, tol=band), sign_label(self.a0_prime, band)
+        return ranking_label(self.xyz.tolist(), tol=band), sign_label(self.a0_prime, band)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Observation":
@@ -124,7 +129,8 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
 
     Factor labels are permuted so the intensity ranking holds with L the
     middle factor; a negative relative-price change is flipped (all rates
-    negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo).
+    negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo);
+    a rate that is not finite raises DegenerateObservation.
     """
     th = obs.theta_share
     for name, shares in (("distributive", th), ("goods income", obs.theta_good)):
@@ -139,15 +145,21 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
             "no relabeling gives strict intensity ratios with the middle "
             "factor used intensively in sector 1; this configuration is out "
             "of scope")
-    P = obs.P
-    if _signed(P, obs.rate_scale) == 0:
+    P, scale = obs.P, obs.rate_scale
+    if not math.isfinite(scale):
+        raise DegenerateObservation("a rate of change is not finite")
+    if _signed(P, scale) == 0:
         raise ZeroP("relative goods-price change is zero; nothing to estimate")
     flipped = P < 0 and time_reversal
     sign = -1.0 if flipped else 1.0
-    out = Observation(theta_share=th, theta_good=obs.theta_good,
-                      p_star=sign * obs.p_star, w_star=sign * obs.w_star[idx],
-                      a_star=None if obs.a_star is None else sign * obs.a_star[idx],
-                      a0_prime=sign * obs.a0_prime[idx])
+    # no constructor copies: these arrays are new (theta_good, never written, is
+    # shared); relabelling and sign flips keep rate magnitudes, so the scale stays
+    out, a = Observation.__new__(Observation), obs.a_star
+    vars(out).update(theta_share=th, theta_good=obs.theta_good, rate_scale=scale,
+                     p_star=sign * obs.p_star, w_star=sign * obs.w_star[idx],
+                     a_star=None if a is None else sign * a[idx],
+                     a0_prime=None if a is not None else sign * obs.a0_prime[idx])
+    out._aggregate()
     return out, PreprocessInfo(perm, flipped)
 
 
@@ -316,9 +328,9 @@ def consistency_checks(obs: Observation) -> dict:
         failures.append("H0 > 0")
 
     if obs.a_star is not None:
-        eq5 = np.einsum("ij,ij->j", obs.theta_share, obs.a_star)
-        out["zero_profit_residuals"] = [abs(float(v)) for v in eq5]
-        if np.max(np.abs(eq5)) > DATA_TOL * scale:
+        eq5 = np.einsum("ij,ij->j", obs.theta_share, obs.a_star).tolist()
+        out["zero_profit_residuals"] = res = [abs(v) for v in eq5]
+        if any(r > DATA_TOL * scale for r in res):
             failures.append("per-sector share-weighted a* rows do not sum to zero")
         H = np.einsum("i,ij,ij->j", w_m, obs.a_star, obs.theta_share).tolist()
         out["H"] = [_finite_or_null(h / m) for h in H]
@@ -329,8 +341,7 @@ def consistency_checks(obs: Observation) -> dict:
     if ranking == "X>Z>Y" and agg in ("E", "F"):
         failures.append(f"aggregate sign label {agg} excluded under ranking X>Z>Y")
     if obs.a_star is not None:
-        sec = [sign_label(obs.a_star[:, j], dead_band=DEAD_BAND * scale)
-               for j in range(2)]
+        sec = [sign_label(col, DEAD_BAND * scale) for col in obs.a_star.T]
         out["sector_labels"] = sec
         if ranking == "X>Z>Y":
             for j, lab in enumerate(sec):

@@ -56,7 +56,7 @@ def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scale(x) -> float:
-    return max(float(np.max(np.abs(x))), SCALE_FLOOR)
+    return max(float(np.abs(x).max()), SCALE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,10 @@ def ranking_label(xyz, tol: float = ZERO_TOL) -> str:
 
 def sign_label(triple, dead_band: float = ZERO_TOL):
     """Map a sign triple of (a_T0', a_K0', a_L0') to its letter A..F, or None."""
-    if any(abs(v) < dead_band for v in triple):
+    x, y, z = np.asarray(triple, dtype=float).tolist()
+    if abs(x) < dead_band or abs(y) < dead_band or abs(z) < dead_band:
         return None
-    return _SIGN_LABELS.get(tuple(int(np.sign(v)) for v in triple))
+    return _SIGN_LABELS.get(((x > 0) - (x < 0), (y > 0) - (y < 0), (z > 0) - (z < 0)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def _response(e: Economy, s: Shock, x: np.ndarray, eps: np.ndarray) -> Response:
     return Response(
         shock=s, w_star=w_star, x_star=x_star, a_star=a_star,
         a0_prime=a0_prime, W=W, xyz=xyz, H=H, H0=H0,
-        ranking=ranking_label(xyz, s.zero_band),
+        ranking=ranking_label(xyz.tolist(), s.zero_band),
         label=sign_label(a0_prime, s.zero_band),
     )
 

@@ -1,6 +1,7 @@
 """Two-period estimation pipeline: preprocessing, endpoints, quadrant
 verdicts, subregion sign tests, and consistency diagnostics."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -435,11 +436,10 @@ def _variant(o, idx=(0, 1, 2), sign=1.0, scale=1.0, aggregate=False):
                        a0_prime=c * o.a0_prime[idx] if aggregate else None)
 
 
-def estimate_reference_lines(seeds):
-    """One line per run: the report's JSON, or the typed error's name. Each
-    seed's economy (ranked and quadrant-IV by turns) is observed under
-    p* = (1, 0) and a random v*, in five variants, each run with and
-    without time reversal."""
+def estimate_reference_runs(seeds):
+    """(observation, time_reversal) pairs: each seed's economy (ranked and
+    quadrant-IV by turns) observed under p* = (1, 0) and a random v*, in five
+    variants, each with and without time reversal."""
     cons = (m.SampleConstraints(ranked=True),
             m.SampleConstraints(ranked=True, quadrant="IV"))
     rng = np.random.default_rng(5)
@@ -452,10 +452,17 @@ def estimate_reference_lines(seeds):
                     _variant(o, scale=1e-13, aggregate=True),
                     _variant(o, idx, sign=-1.0, aggregate=True)):
             for time_reversal in (False, True):
-                try:
-                    yield json.dumps(m.run_pipeline(obs, time_reversal).to_dict())
-                except m.Ews3x2Error as exc:
-                    yield type(exc).__name__
+                yield obs, time_reversal
+
+
+def estimate_reference_lines(seeds):
+    """One line per run of `estimate_reference_runs`: the report's JSON, or
+    the typed error's name."""
+    for obs, time_reversal in estimate_reference_runs(seeds):
+        try:
+            yield json.dumps(m.run_pipeline(obs, time_reversal).to_dict())
+        except m.Ews3x2Error as exc:
+            yield type(exc).__name__
 
 
 #: sha256 of the report lines of seeds 3000-3099 (numpy 2.4)
@@ -468,6 +475,52 @@ def test_estimate_reference_json_digest():
     for line in estimate_reference_lines(range(3000, 3100)):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == ESTIMATE_DIGEST
+
+
+def _bits(x):
+    """x as exact bytes: an array's dtype, shape and buffer, a float's bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return np.float64(x).tobytes() if isinstance(x, float) else x
+
+
+def test_preprocess_equals_the_constructor_on_relabelled_arrays():
+    # preprocess builds its observation from the permuted, sign-flipped arrays
+    # without the constructor's copies, and carries the input's rate_scale
+    # over; every field, and what is derived from them, must be the bits the
+    # public constructor gives on the same arrays
+    names = [f.name for f in dataclasses.fields(Observation)]
+    runs = 0
+    for obs, time_reversal in estimate_reference_runs(range(3000, 3100)):
+        norm, info = preprocess(obs, time_reversal)
+        idx, c = list(info.permutation), -1.0 if info.reversed else 1.0
+        ref = Observation(theta_share=obs.theta_share[idx], theta_good=obs.theta_good,
+                          p_star=c * obs.p_star, w_star=c * obs.w_star[idx],
+                          a_star=None if obs.a_star is None else c * obs.a_star[idx],
+                          a0_prime=c * obs.a0_prime[idx])
+        for name in names + ["rate_scale", "theta_factor", "labels"]:
+            assert _bits(getattr(norm, name)) == _bits(getattr(ref, name)), name
+        runs += 1
+    assert runs == 1000
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["p_star", "w_star", "a_star", "a0_prime"])
+def test_non_finite_rate_is_a_degenerate_observation(obs0, field, value):
+    # a0_prime is data only when a_star is absent; with a_star it is derived
+    d = {"theta_share": obs0.theta_share, "theta_good": obs0.theta_good,
+         "p_star": obs0.p_star, "w_star": obs0.w_star,
+         "a_star": None if field == "a0_prime" else obs0.a_star,
+         "a0_prime": obs0.a0_prime}
+    rates = d[field].copy()
+    rates.flat[0] = value
+    obs = Observation(**{**d, field: rates})
+    assert not np.isfinite(obs.rate_scale)
+    for time_reversal in (False, True):
+        with pytest.raises(m.DegenerateObservation, match="not finite"):
+            preprocess(obs, time_reversal)
+        with pytest.raises(m.DegenerateObservation, match="not finite"):
+            m.run_pipeline(obs, time_reversal)
 
 
 def corollary_reference_lines():

@@ -132,6 +132,36 @@ def test_sign_label_letters_and_dead_band():
     assert sign_label((1.0, 2.0, 3.0)) is None  # (+,+,+) has no letter
 
 
+BAND = 1e-10
+INSIDE = float(np.nextafter(BAND, 0.0))  # the largest magnitude in the band
+
+
+@pytest.mark.parametrize("triple, expected", [
+    ((-1.0, 2.0, -3.0), "A"), ((-1.0, 2.0, 3.0), "B"), ((1.0, 2.0, -3.0), "C"),
+    ((-1.0, -2.0, 3.0), "D"), ((1.0, -2.0, 3.0), "E"), ((1.0, -2.0, -3.0), "F"),
+    ((1.0, 2.0, 3.0), None), ((0.0, 2.0, -3.0), None), ((1.0, -0.0, -3.0), None),
+    ((BAND, BAND, -BAND), "C"), ((-BAND, -BAND, BAND), "D"),
+    ((INSIDE, 2.0, -3.0), None), ((1.0, 2.0, -INSIDE), None),
+])
+def test_sign_label_same_on_list_tuple_and_array(triple, expected):
+    got = [sign_label(t, BAND) for t in (list(triple), tuple(triple), np.array(triple))]
+    assert got == [expected] * 3
+
+
+@pytest.mark.parametrize("xyz, expected", [
+    ((3.0, 1.0, 2.0), "X>Z>Y"), ((3.0, 2.0, 1.0), "X>Y>Z"), ((1.0, 3.0, 2.0), "Y>Z>X"),
+    ((1.0, 2.0, 3.0), "Z>Y>X"), ((2.0, 1.0, 3.0), "Z>X>Y"), ((2.0, 3.0, 1.0), "Y>X>Z"),
+    ((0.0, -0.0, 1.0), "tie"), ((1.0, 1.0, 3.0), "tie"),
+    # gaps of exactly the tolerance (0.25) do not tie, gaps just inside it do
+    ((0.25, 0.0, 1.0), "Z>X>Y"), ((-0.25, 0.0, -1.0), "Y>X>Z"),
+    ((float(np.nextafter(0.25, 0.0)), 0.0, 1.0), "tie"),
+    ((1.0, 0.0, float(np.nextafter(0.75, 1.0))), "tie"),
+])
+def test_ranking_label_same_on_list_tuple_and_array(xyz, expected):
+    got = [ranking_label(t, 0.25) for t in (list(xyz), tuple(xyz), np.array(xyz))]
+    assert got == [expected] * 3
+
+
 # ---------------------------------------------------------------------------
 # Reference economy, price shock P = 1 (hand-verified against a nonlinear
 # finite-difference oracle)
