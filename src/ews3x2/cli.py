@@ -203,7 +203,7 @@ def _write_estimate_svg(obs, rep, path):
     fig.add_boundary(r)
     if t1.point_a is not None and t1.point_b is not None:
         fig.add_segment(t1.point_a, t1.point_b)
-    t_1, t_2 = geometry.r_thresholds(norm.theta_share)
+    t_1, t_2 = geometry.r_thresholds(norm.theta_share).tolist()
     fig.add_threshold(t_1, "S'(R_L1)")
     fig.add_threshold(t_2, "S'(R_L2)")
     Path(path).write_text(fig.to_svg())
@@ -217,8 +217,8 @@ SWEEP_HEADER = [
 ]
 
 
-#: most rows computed as one batch: a pending seed holds its generator and
-#: candidate arrays, about 7 kB, so this bounds a sweep's memory
+#: most rows computed as one batch: it bounds the batch's arrays (about 7 kB a
+#: pending seed), while the rows are all held until the CSV is written
 SWEEP_CHUNK = 128
 
 #: a sweep row's shock, p* = (1, 0), and the right-hand sides of its hat-systems
@@ -429,6 +429,8 @@ def main(argv=None) -> int:
     except Ews3x2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except OSError as exc:  # `_read` exits on its reads, so this is a write
+        return _fail_io(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

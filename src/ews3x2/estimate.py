@@ -255,7 +255,7 @@ def corollary1_subregion(obs: Observation, t1v: Theorem1Verdict) -> CorollaryRes
     w = obs.w_star
     p = obs.p_star
     scale = obs.rate_scale
-    t_1, t_2 = r_thresholds(obs.theta_share)  # S'(R_L1), S'(R_L2)
+    t_1, t_2 = r_thresholds(obs.theta_share).tolist()  # S'(R_L1), S'(R_L2)
     s_a = t1v.point_a.s
     s_b = t1v.point_b.s
 

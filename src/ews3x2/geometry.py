@@ -194,17 +194,16 @@ def point_q(e: Economy) -> RatioPoint:
     return RatioPoint(float(s[0]), float(u[0]), e.theta_L_over_K)
 
 
-def r_thresholds(theta_share) -> tuple:
-    """Abscissas S'(R_L1), S'(R_L2) = theta_Kj/theta_Tj of the R points, the
-    S' thresholds between the quadrant-IV subregions."""
-    th = theta_share
-    return float(th[K, 0] / th[T, 0]), float(th[K, 1] / th[T, 1])
+def r_thresholds(th) -> np.ndarray:
+    """S'(R_L1), S'(R_L2) = theta_Kj/theta_Tj (..., 2) of shares th (..., 3, 2):
+    the R points' abscissas, the S' thresholds between quadrant-IV subregions."""
+    return th[..., K, :] / th[..., T, :]
 
 
 def _points_r(th, r) -> tuple:
     """(S', U') arrays (n, 2) of R_L1 and R_L2 for shares th (n, 3, 2) and
     theta_L/theta_K ratios r (n,)."""
-    return th[:, K] / th[:, T], -th[:, K] / (1.0 - th[:, L]) * r[:, None]
+    return r_thresholds(th), -th[:, K] / (1.0 - th[:, L]) * r[:, None]
 
 
 def points_r(e: Economy) -> tuple:

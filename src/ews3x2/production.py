@@ -30,11 +30,11 @@ class _CostFamily:
         c, at = self.cost_columns(np.asarray(w, dtype=float).T)
         return c.T, np.array(at, dtype=float).T
 
-    def aes(self, w, cost=None):
-        """`cross_columns` (..., 3, 3), its diagonal set so that every
-        share-weighted row sums to zero; (c, a) is `cost` or unit_cost(w)."""
+    def aes(self, w):
+        """`cross_columns` (..., 3, 3) at unit_cost(w), its diagonal set so that
+        every share-weighted row sums to zero."""
         w = np.asarray(w, dtype=float)
-        c, a = self.unit_cost(w) if cost is None else cost
+        c, a = self.unit_cost(w)
         sig, cross = np.empty(w.shape + (3,)), self.cross_columns(w.T, c.T, a.T)
         for i, h in np.ndindex(3, 3):
             sig.T[h, i] = cross[i][h]

@@ -237,10 +237,6 @@ def solve_linear(e: Economy, s: Shock) -> Response:
 _ENDOWMENT_RHS = np.eye(5, 3, k=-2)
 
 
-def _rybczynski(values: np.ndarray) -> tuple:
-    return values, np.sign(values).astype(int)
-
-
 def rybczynski_matrix(e: Economy) -> tuple:
     """Output responses to unit endowment changes at fixed goods prices.
 
@@ -250,18 +246,8 @@ def rybczynski_matrix(e: Economy) -> tuple:
     """
     x, _ = _solve_hats(e.theta_share[None], e.lambda_share[None], e.sigma[None],
                        _ENDOWMENT_RHS[None])
-    return _rybczynski(x[0, 3:])
-
-
-def responses_and_rybczynski(economies, s: Shock) -> list:
-    """(solve_linear(e, s), rybczynski_matrix(e)) for each economy, from one
-    stacked solve whose columns are the shock and the three endowment ones."""
-    rhs = np.column_stack([np.concatenate([s.p_star, s.v_star]), _ENDOWMENT_RHS])
-    x, eps = _solve_hats(*(np.stack([getattr(e, name) for e in economies])
-                           for name in ("theta_share", "lambda_share", "sigma")),
-                         rhs[None])
-    return [(_response(e, s, x[n, :, 0], eps[n]), _rybczynski(x[n, 3:, 1:]))
-            for n, e in enumerate(economies)]
+    values = x[0, 3:]
+    return values, np.sign(values).astype(int)
 
 
 def stolper_samuelson(e: Economy, P: float, time_reversal: bool = False) -> Response:

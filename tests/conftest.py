@@ -168,11 +168,12 @@ def crafted_case_observations(e, rng, count, require_verdict=None):
 # Mixed economy pool: alternate the production-backed sampler and the raw
 # share-level sampler so every admissible sign pattern is reachable.
 
-def mixed_pool(seed, size):
+def mixed_pool(seed, size, produced=None):
     """Economies of seeds seed, seed + 1, ...: the share-level sampler's at
-    even offsets, the production-backed sampler's, in one batch, at odd ones."""
-    produced = iter(m.sample_economies(range(seed + 1, seed + size, 2),
-                                       m.SampleConstraints(ranked=True)))
+    even offsets, the production-backed sampler's, in one batch, at odd ones;
+    `produced` is that batch when it is already drawn."""
+    produced = iter(produced or m.sample_economies(range(seed + 1, seed + size, 2),
+                                                   m.SampleConstraints(ranked=True)))
     return [next(produced).economy if k % 2 else m.sample_economy_shares(seed + k)
             for k in range(size)]
 

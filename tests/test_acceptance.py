@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import ews3x2 as m
-from ews3x2.cli import main as cli_main
+from ews3x2.cli import _SHOCK, _SWEEP_RHS, main as cli_main
 from ews3x2.estimate import corollary1_subregion, theorem1_verdict
 from ews3x2.model import K, L, T, epsilon
-from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock,
-                            responses_and_rybczynski)
+from ews3x2.production import _jacobian, _system
+from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, _response,
+                            _solve_hats)
 
 from conftest import (crafted_observation, h0_eliminations, line_boundary_roots,
                       mixed_pool)
@@ -31,16 +32,27 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def pool():
-    return mixed_pool(BASE_SEED, POOL_SIZE)
+def produced():
+    """The pool's production-backed economies: the sampler's draw of its odd
+    seeds."""
+    return m.sample_economies(range(BASE_SEED + 1, BASE_SEED + POOL_SIZE, 2),
+                              m.SampleConstraints(ranked=True))
+
+
+@pytest.fixture(scope="module")
+def pool(produced):
+    return mixed_pool(BASE_SEED, POOL_SIZE, produced)
 
 
 @pytest.fixture(scope="module")
 def responses(pool):
     """(economy, solve_linear(economy, P = 1)) over the pool, from one
-    stacked solve."""
-    solved = responses_and_rybczynski(pool, Shock.price(1.0))
-    return [(e, resp) for e, (resp, _) in zip(pool, solved)]
+    stacked solve of the hat-systems a sweep row solves."""
+    x, eps = _solve_hats(*(np.stack([getattr(e, name) for e in pool])
+                           for name in ("theta_share", "lambda_share", "sigma")),
+                         _SWEEP_RHS)
+    return [(e, _response(e, _SHOCK, x[n, :, 0], eps[n]))
+            for n, e in enumerate(pool)]
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +275,29 @@ def test_criterion_8_finite_difference_oracle():
             value_ok += 1
     ok = sign_ok == n and value_ok == n
     assert report(8, ok, f"signs {sign_ok}/{n}; within 1% {value_ok}/{n}")
+
+
+def test_newton_jacobian_gives_the_rybczynski_matrix(produced):
+    """The implicit function theorem on Newton's own Jacobian: at an
+    equilibrium, F(w, X; V) = 0 has dF/dV = [0; -I], so dz/dV = J^-1 [0; I],
+    and scaled by V_i/X_j this is the Rybczynski matrix, with no step size.
+    The hat system comes from the snapshot's shares, allocations and EWS
+    matrix, so this checks that it is the derivative of the production model
+    the snapshot came from."""
+    jac = np.empty((len(produced), 5, 5))
+    for n, s in enumerate(produced):
+        eq = s.equilibrium
+        _, a, c = _system(s.specs, eq.p, eq.V, eq.w, eq.X)
+        jac[n] = _jacobian(s.specs, eq.w, eq.X, a, c)
+    dz = np.linalg.solve(jac, np.eye(5, 3, k=-2))
+    V, X = (np.array([getattr(s.equilibrium, f) for s in produced]) for f in "VX")
+    exact = dz[:, 3:] * V[:, None, :] / X[:, :, None]
+    values, signs = zip(*(m.rybczynski_matrix(s.economy) for s in produced))
+    values = np.array(values)
+    err = np.abs(exact - values) / np.maximum(1.0, np.abs(values))
+    assert len(produced) == POOL_SIZE // 2
+    assert err.max() <= 1e-10
+    assert np.array_equal(np.sign(exact), np.array(signs))
 
 
 def test_criterion_9_elasticity_sweep_and_positive_families(e0):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2.cli import SWEEP_HEADER, main
-from ews3x2.model import K
+from ews3x2.model import K, L, T
 from ews3x2.statics import Shock
 
 from conftest import mixed_pool
@@ -87,6 +87,22 @@ def test_malformed_json_is_io_error(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
     assert main(["ews", str(p)]) == 2
+
+
+@pytest.mark.parametrize("argv,path", [
+    ("--out {tmp}/missing/x.json ews {e0}", "{tmp}/missing/x.json"),
+    ("--out {tmp} ews {e0}", "{tmp}"),
+    ("--out-dir {e0}/sub sweep --seed 1 --count 2", "{e0}/sub"),
+    ("--out {tmp}/missing/f.svg plot {e0}", "{tmp}/missing/f.svg"),
+    ("estimate {obs} --svg {tmp}/missing/x.svg", "{tmp}/missing/x.svg"),
+], ids=["missing-dir", "a-directory", "file-as-dir", "plot", "estimate-svg"])
+def test_unwritable_output_path_is_io_error(e0_path, obs_path, tmp_path, capsys,
+                                            argv, path):
+    paths = {"tmp": tmp_path, "e0": e0_path, "obs": obs_path}
+    assert main(argv.format(**paths).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+    assert repr(path.format(**paths)) in err
 
 
 def test_ews_payload(e0_path, capsys):
@@ -702,6 +718,23 @@ def test_sweep_starts_no_more_workers_than_chunks_or_cpus(tmp_path, monkeypatch,
     assert many.read_bytes() == one.read_bytes()
 
 
+def test_sweep_counts_cpus_without_an_affinity_call(tmp_path, monkeypatch):
+    # where os has no sched_getaffinity and cpu_count knows nothing, one cpu
+    # is counted, so --jobs 2 computes in this process
+    import concurrent.futures
+
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert [main(["--out", str(out), "sweep", "--seed", "5", "--count", "3",
+                  "--jobs", jobs]) for out, jobs in ((one, "1"), (two, "2"))] == [0, 0]
+    assert two.read_bytes() == one.read_bytes()
+
+
 @pytest.mark.parametrize("constraint", ["ranked", "quadrant4"])
 def test_sweep_chunk_equals_one_row_commands(tmp_path, constraint):
     whole, one = tmp_path / "whole.csv", tmp_path / "one.csv"
@@ -773,6 +806,28 @@ def test_sweep_reports_a_degenerate_quadrant_iv_row_through_the_fallback(
     assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
                  "--count", "8"]) == 1
     assert capsys.readouterr().err == f"error: {scalar.value}\n"
+
+
+def test_sweep_reports_a_row_without_a_ratio_point(tmp_path, capsys, monkeypatch):
+    # row 3's g_LT is zeroed, so the batched pass has no ratio point there;
+    # the rows rerun one at a time, and row 3 raises DegenerateDenominator
+    import ews3x2.cli as cli
+    seed = 40
+    row3 = m.sample_economy(seed + 3, m.SampleConstraints(ranked=True)).economy
+    ews = cli.model._ews
+
+    def zeroed(la, eps):
+        g = ews(la, eps)
+        for n, lam in enumerate(la):
+            if np.array_equal(lam, row3.lambda_share):
+                g[n, L, T] = g[n, T, L] = 0.0
+        return g
+
+    monkeypatch.setattr(cli.model, "_ews", zeroed)
+    assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),
+                 "--count", "8"]) == 1
+    assert capsys.readouterr().err == ("error: g_LT = 0.000e+00; the EWS-ratio "
+                                       "vector is undefined\n")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -213,6 +213,12 @@ def test_point_a_degenerate():
         point_b(obs2)
 
 
+def test_theorem1_inconclusive_without_point_a(e0):
+    v = theorem1_verdict(crafted_observation(e0, [1.0, 0.5, 0.5]))
+    assert v.verdict == "inconclusive" and v.point_a is None
+    assert "point A computable" in v.failed_preconditions
+
+
 # ---------------------------------------------------------------------------
 # Quadrant-IV sufficient condition
 

@@ -159,6 +159,14 @@ def test_classify_substitutes_complement():
     assert labels[("L", "K")] == "economy-wide substitute"
 
 
+def test_classify_substitutes_exact_zero_is_borderline(e0):
+    g = m.ews_matrix(e0).g.copy()
+    g[L, K] = g[K, L] = 0.0
+    labels = m.classify_substitutes(m.EwsMatrix(g, e0.theta_factor))
+    assert labels[("L", "K")] == "economy-wide substitute (borderline)"
+    assert labels[("L", "T")] == labels[("K", "T")] == "economy-wide substitute"
+
+
 def test_ratio_vector_degenerate_denominator(e0):
     g = m.ews_matrix(e0)
     zeroed = m.EwsMatrix(np.zeros((3, 3)), g.theta_factor)

@@ -157,8 +157,6 @@ def test_spec_methods_batch_equals_rows(spec):
     sig = spec.aes(W)
     assert c.shape == (4, 5) and a.shape == (4, 5, 3)
     assert sig.shape == (4, 5, 3, 3)
-    # the AES from the (c, a) already at hand is the same AES
-    assert np.array_equal(spec.aes(W, (c, a)), sig)
     for idx in np.ndindex(4, 5):
         c1, a1 = spec.unit_cost(W[idx])
         # numpy's array power may differ from its scalar power in the last bit
@@ -193,6 +191,18 @@ def test_two_level_ces_rejects_bad_nest():
                     nest=(T, T))
     with pytest.raises(ValueError):
         Ces([0.4, 0.3, 0.3], s=1.0)
+
+
+@pytest.mark.parametrize("s_in,s_out", [(1.0, 2.0), (0.5, 1.0), (0.0, 2.0),
+                                         (0.5, -1.0)])
+def test_two_level_ces_rejects_bad_elasticities(s_in, s_out):
+    with pytest.raises(ValueError, match="positive and != 1"):
+        TwoLevelCes(mu=[0.5, 0.5], nu=[0.5, 0.5], s_in=s_in, s_out=s_out)
+
+
+def test_calibrated_spec_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown production family 'leontief'"):
+        m.calibrated_spec("leontief", [0.45, 0.2, 0.35])
 
 
 def test_calibrated_spec_hits_target_shares():
@@ -230,6 +240,24 @@ def test_equilibrium_from_far_start(sampled):
                              sampled.equilibrium.V,
                              w0=[1.5, 0.7, 1.2], x0=[0.8, 1.5])
     assert np.allclose(eq.w, sampled.equilibrium.w, rtol=1e-8)
+
+
+def test_newton_raises_after_its_iteration_budget(sampled, monkeypatch):
+    monkeypatch.setattr(production, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(m.NonConvergence, match="no convergence after 1 iterations"):
+        m.solve_equilibrium(sampled.specs, sampled.equilibrium.p,
+                            sampled.equilibrium.V, w0=[1.5, 0.7, 1.2], x0=[0.8, 1.5])
+
+
+def test_newton_rows_converged_at_their_shared_start_keep_the_batch_shape(sampled):
+    eq = sampled.equilibrium
+    V = np.stack([eq.V] * 4)
+    w, X, a = _newton(sampled.specs, eq.p, V, eq.w, eq.X)
+    assert (w.shape, X.shape, a.shape) == ((4, 3), (4, 2), (4, 3, 2))
+    assert all(np.array_equal(x, np.broadcast_to(ref, x.shape))
+               for x, ref in ((w, eq.w), (X, eq.X), (a, eq.a)))
+    w[0] = 0.0  # each member owns its rows
+    assert np.array_equal(w[1], eq.w)
 
 
 def test_snapshot_matches_sample(sampled):
@@ -326,6 +354,13 @@ def test_fd_rybczynski_matches_linear(sampled):
     lin, signs = m.rybczynski_matrix(sampled.economy)
     assert np.sign(fd).astype(int).tolist() == signs.tolist()
     assert np.allclose(fd, lin, rtol=1e-2)
+
+
+def test_fd_rybczynski_without_a_base_solves_for_it(sampled):
+    specs, eq = sampled.specs, sampled.equilibrium
+    base = m.solve_equilibrium(specs, eq.p, eq.V)
+    assert np.array_equal(m.fd_rybczynski(specs, eq.p, eq.V),
+                          m.fd_rybczynski(specs, eq.p, eq.V, base=base))
 
 
 def test_fd_rybczynski_batch_equals_solo_solves():
