@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 import ews3x2 as m
 from ews3x2.model import (K, L, T, _aes_diagonal, _concave, _dirichlet,
                           _ews_ratios, _fill_aes_diagonal)
-from ews3x2.tolerances import CONCAVITY_TOL, IDENT_TOL, ZERO_TOL
+from ews3x2.tolerances import CONCAVITY_TOL, IDENT_TOL, STRUCT_TOL, ZERO_TOL
 
 from conftest import E0_THETA_GOOD, E0_THETA_SHARE, mixed_pool
-from test_samplers import reference_sample_economy_shares
+from test_samplers import PRODUCTION_MODES, reference_sample_economy_shares
 
 
 def ranked_economy(seed):
@@ -101,6 +102,53 @@ def test_validation_reports_all_violations_at_once():
     assert all(v.magnitude == 0.0 and not np.signbit(v.magnitude)
                for v in ranges)
     assert "magnitude 0.000e+00" in str(rep) and "-0.000e+00" not in str(rep)
+
+
+ARRAY_NAMES = ("theta_share", "lambda_share", "theta_good", "theta_factor", "sigma")
+
+
+def validate_report_inputs():
+    """Five-array tuples: sampled share-level and production economies, each
+    as drawn and with seeded perturbations of one entry (NaN, +-inf, 0, 1,
+    +-1e300, negated, nudged by about 1e-9) in each array, and with the
+    factor rows of its shares permuted."""
+    bases = [m.sample_economy_shares(seed, ranked)
+             for seed in range(2) for ranked in (True, False)]
+    bases += [m.sample_economy(seed, cons).economy
+              for seed, cons in enumerate(PRODUCTION_MODES.values())]
+    rng = np.random.default_rng(27)
+    for e in bases:
+        arrays = [np.array(getattr(e, name)) for name in ARRAY_NAMES]
+        yield arrays
+        for a, arr in enumerate(arrays):
+            for edit in (np.nan, np.inf, -np.inf, 0.0, 1.0, 1e300, -1e300,
+                         "negate", "nudge"):
+                idx = tuple(rng.integers(arr.shape))
+                x, out = arr[idx], [b.copy() for b in arrays]
+                out[a][idx] = (-x if edit == "negate" else
+                               x + rng.uniform(-2e-9, 2e-9) if edit == "nudge" else edit)
+                yield out
+        for perm in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
+            yield [arrays[0][perm, :], arrays[1][perm, :], *arrays[2:]]
+
+
+#: sha256 of the `validate_economy` report lines of `validate_report_inputs`,
+#: each with and without the ranking at three tolerances (numpy 2.4)
+VALIDATE_DIGEST = (
+    "ff92cba63ede3f7329b2dafcabeabfeb7256386a0ddda8fb299d7b98351d78ca")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_report_digest():
+    start, h = time.perf_counter(), hashlib.sha256()
+    for arrays in validate_report_inputs():
+        e = m.Economy(*arrays)
+        for ranking in (False, True):
+            for tol in (STRUCT_TOL, 0.0, 1e-3):
+                rep = m.validate_economy(e, ranking, tol)
+                h.update(f"{json.dumps(rep.to_dict())}\n{rep}\n".encode())
+    assert h.hexdigest() == VALIDATE_DIGEST
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
