@@ -291,22 +291,29 @@ def cmd_sweep(args) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(args.jobs, len(chunks), cpus)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_rows, firsts, chunks, constraints))
-    else:
-        parts = list(map(_sweep_rows, firsts, chunks, constraints))
-    rows = [row for part in parts for row in part]
-
     out_path = Path(args.out) if args.out else _out_dir(args) / "sweep.csv"
+    made = not out_path.exists()
+    # opened before any row is computed, so an unwritable path fails at once;
     # in place: ext4 writes back a file truncated to zero on close; a rerun waits
-    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SWEEP_HEADER)
-        w.writerows(rows)
-        if out_path.is_file():  # a device or pipe has no length to cut
-            fh.truncate()
+    try:
+        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  newline="") as fh:
+            if workers > 1:
+                from concurrent.futures import ProcessPoolExecutor
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    parts = list(pool.map(_sweep_rows, firsts, chunks, constraints))
+            else:
+                parts = list(map(_sweep_rows, firsts, chunks, constraints))
+            rows = [row for part in parts for row in part]
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(SWEEP_HEADER)
+            w.writerows(rows)
+            if out_path.is_file():  # a device or pipe has no length to cut
+                fh.truncate()
+    except Ews3x2Error:  # no CSV: an existing file keeps its bytes
+        if made:
+            out_path.unlink()
+        raise
 
     failures = sum(r[17] is not True for r in rows)
     summary = {

@@ -152,91 +152,6 @@ class ValidationReport:
 
 
 _ARRAYS = ("theta_share", "lambda_share", "theta_good", "theta_factor", "sigma")
-#: where each of `_ARRAYS` starts in their concatenated flat entries
-_ARRAY_STARTS = (0, 6, 12, 14, 17)
-
-
-def _check_table() -> list:
-    """(code, detail) of every structural check, in report order."""
-    table = [("non-finite", f"{name} contains non-finite entries")
-             for name in _ARRAYS]
-    table += [("share-column-sum",
-               f"distributive shares of sector {j} do not sum to 1") for j in SECTORS]
-    table += [("allocation-row-sum",
-               f"allocation shares of factor {i} do not sum to 1") for i in FACTORS]
-    table += [("income-share-sum", "good income shares do not sum to 1"),
-              ("income-share-sum", "factor income shares do not sum to 1"),
-              ("share-link", "lambda_share inconsistent with "
-                             "(theta_good/theta_factor)*theta_share"),
-              ("share-range", "distributive shares must lie in (0,1)"),
-              ("share-range", "allocation shares must lie in (0,1)")]
-    for j in SECTORS:
-        table.append(("aes-symmetry",
-                      f"Allen elasticity matrix of sector {j} is not symmetric"))
-        for i in FACTORS:
-            table += [("aes-diagonal-sign", f"sigma[{j}][{i}][{i}] must be negative"),
-                      ("aes-row-sum", f"share-weighted Allen row ({i}, sector {j}) "
-                                      "does not sum to 0")]
-    return table + [
-        ("intensity-ranking",
-         "theta_T1/theta_T2 > theta_L1/theta_L2 > theta_K1/theta_K2 fails"),
-        ("middle-factor-intensity", "theta_L1 > theta_L2 fails")]
-
-
-#: columns 0-4 non-finite arrays, 5-11 sums to one, 12 share link, 13-14 share
-#: ranges, 15-28 the two sectors' Allen checks, 29-30 the ranking
-_CHECKS = _check_table()
-
-
-def _validity(th, la, tg, tf, sg, check_ranking: bool, tol: float) -> tuple:
-    """Every structural check of economies stacked on a leading axis.
-
-    th, la (N, 3, 2), tg (N, 2), tf (N, 3), sg (N, 2, 3, 3). Returns the
-    per-member ok mask (N,) and the (N, len(_CHECKS)) fail mask and
-    magnitudes, columns in `_CHECKS` order. The ranking columns fail only
-    with `check_ranking`.
-    """
-    n = len(th)
-    flat = np.concatenate([th.reshape(n, 6), la.reshape(n, 6), tg, tf,
-                           sg.reshape(n, 18)], axis=1)
-    shares = flat[:, :12].reshape(n, 2, 6)  # theta_share, lambda_share
-    mag = np.zeros((n, len(_CHECKS)))
-    mag[:, :5] = np.inf
-    # per sector: symmetry, then (diagonal, row sum) of each factor
-    sector = mag[:, 15:29].reshape(n, 2, 7)
-    with np.errstate(all="ignore"):
-        mag[:, 5:7] = th.sum(axis=-2)
-        mag[:, 7:10] = la.sum(axis=-1)
-        mag[:, 10] = tg.sum(axis=-1)
-        mag[:, 11] = tf.sum(axis=-1)
-        mag[:, 5:12] = abs(mag[:, 5:12] - 1.0)
-        link = la - _allocations(th, tg, tf)
-        mag[:, 12] = np.abs(link).reshape(n, 6).max(-1)
-        # max(0.0, max(-a), max(a - 1)), with a zero never negative; a share
-        # outside (0, 1) makes the inner maximum non-negative
-        out = np.maximum((-shares).max(-1), (shares - 1).max(-1))
-        mag[:, 13:15] = np.where(out > 0.0, out, 0.0)
-        out_of_range = out >= 0.0
-        sector[..., 0] = np.abs(sg - sg.swapaxes(-1, -2)).reshape(n, 2, 9).max(-1)
-        sector[..., 1::2] = flat[:, 17:].reshape(n, 2, 9)[..., ::4]
-        sector[..., 2::2] = abs(np.vecdot(th.swapaxes(-1, -2)[:, :, None, :], sg))
-        fail = mag > tol
-        finite = np.isfinite(flat)
-        fail[:, :5] = False if finite.all() else ~np.logical_and.reduceat(
-            finite, _ARRAY_STARTS, 1)
-        fail[:, 13:15] = out_of_range
-        fail[:, 15:29].reshape(n, 2, 7)[..., 1::2] = sector[..., 1::2] >= 0
-        fail[:, 29:] = False
-        if check_ranking:
-            r = th[..., 0] / th[..., 1]
-            fail[:, 29] = ~((r[:, T] > r[:, L]) & (r[:, L] > r[:, K]))
-            fail[:, 30] = ~(th[:, L, 0] > th[:, L, 1])
-        if fail[:, 29:].any():
-            # max(r_L - r_T, r_K - r_L): the first unless the second is larger
-            l_minus_t, k_minus_l = r[:, L] - r[:, T], r[:, K] - r[:, L]
-            mag[:, 29] = np.where(k_minus_l > l_minus_t, k_minus_l, l_minus_t)
-            mag[:, 30] = th[:, L, 1] - th[:, L, 0]
-    return ~fail.any(axis=-1), fail, mag
 
 
 def validate_economy(e: Economy, check_ranking: bool = False,
@@ -248,13 +163,55 @@ def validate_economy(e: Economy, check_ranking: bool = False,
     `check_ranking` additionally enforces the factor-intensity ranking (T/K
     extreme, L middle, L used intensively in sector 1).
     """
-    _, fails, mags = _validity(*(getattr(e, name)[None] for name in _ARRAYS),
-                               check_ranking, tol)
     rep = ValidationReport()
-    for c in np.flatnonzero(fails[0]):
-        rep.add(*_CHECKS[c], mags[0, c])
-        if c < len(_ARRAYS):
-            break
+    for name in _ARRAYS:
+        if not np.isfinite(getattr(e, name)).all():
+            rep.add("non-finite", f"{name} contains non-finite entries", np.inf)
+            return rep
+    th, la, tg, tf, sg = (getattr(e, name) for name in _ARRAYS)
+
+    def check(code, detail, mag, failed=None):  # fails, by default, past tol
+        if mag > tol if failed is None else failed:
+            rep.add(code, detail, mag)
+
+    with np.errstate(all="ignore"):
+        for j, mag in zip(SECTORS, abs(th.sum(axis=0) - 1.0)):
+            check("share-column-sum",
+                  f"distributive shares of sector {j} do not sum to 1", mag)
+        for i, mag in zip(FACTORS, abs(la.sum(axis=1) - 1.0)):
+            check("allocation-row-sum",
+                  f"allocation shares of factor {i} do not sum to 1", mag)
+        for what, x in (("good", tg), ("factor", tf)):
+            check("income-share-sum", f"{what} income shares do not sum to 1",
+                  abs(x.sum() - 1.0))
+        check("share-link",
+              "lambda_share inconsistent with (theta_good/theta_factor)*theta_share",
+              np.abs(la - _allocations(th, tg, tf)).max())
+        for what, x in (("distributive", th), ("allocation", la)):
+            # a share outside (0, 1) makes `out` non-negative; a zero is +0, never -0
+            out = np.maximum(-x, x - 1).max()
+            check("share-range", f"{what} shares must lie in (0,1)",
+                  out if out > 0.0 else 0.0, out >= 0.0)
+        rows = abs(np.vecdot(th.T[:, None, :], sg))  # share-weighted Allen rows
+        for j, s, row in zip(SECTORS, sg, rows):
+            check("aes-symmetry",
+                  f"Allen elasticity matrix of sector {j} is not symmetric",
+                  np.abs(s - s.T).max())
+            for i, f in enumerate(FACTORS):
+                check("aes-diagonal-sign", f"sigma[{j}][{f}][{f}] must be negative",
+                      s[i, i], s[i, i] >= 0)
+                check("aes-row-sum", f"share-weighted Allen row ({f}, sector {j}) "
+                      "does not sum to 0", row[i])
+        if check_ranking:
+            r = th[:, 0] / th[:, 1]
+            # max(r_L - r_T, r_K - r_L): the first unless the second is larger
+            l_minus_t, k_minus_l = r[L] - r[T], r[K] - r[L]
+            check("intensity-ranking",
+                  "theta_T1/theta_T2 > theta_L1/theta_L2 > theta_K1/theta_K2 fails",
+                  k_minus_l if k_minus_l > l_minus_t else l_minus_t,
+                  not r[T] > r[L] > r[K])
+            check("middle-factor-intensity", "theta_L1 > theta_L2 fails",
+                  th[L, 1] - th[L, 0], not th[L, 0] > th[L, 1])
     return rep
 
 
@@ -508,14 +465,15 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
     freely, so it reaches substitution patterns no single-nest CES technology
     can produce. Deterministic for a fixed seed. `_draw_shares` tests the
     shares; the rest is tested on plain floats: each sector by `_concave`, then
-    the Allen diagonals' signs and the EWS tests. Each row of `_CHECKS` holds by
-    construction: 0-4, no divisor is below 0.02 * 0.01; 5-11, each sum is of
-    terms scaled by one over their sum, or of such sums, so one to a few ulp;
-    12, lambda_share is `_allocations`; 13-14, the floors keep shares in
-    [0.02, 0.96] and allocations 0.0002 from 0 and 1; 15-28, sigma is
-    symmetric and `_aes_diagonal` zeroes its rows, but concavity bounds a
-    diagonal only by CONCAVITY_TOL, hence its sign test, after both sectors'
-    draws as the stream requires; 29-30, `_draw_shares` ranked these floats.
+    the Allen diagonals' signs and the EWS tests. Each check of
+    `validate_economy` holds by construction: non-finite, no divisor is below
+    0.02 * 0.01; the sums, each is of terms scaled by one over their sum, or of
+    such sums, so one to a few ulp; share-link, lambda_share is `_allocations`;
+    share-range, the floors keep shares in [0.02, 0.96] and allocations 0.0002
+    from 0 and 1; aes-*, sigma is symmetric and `_aes_diagonal` zeroes its
+    rows, but concavity bounds a diagonal only by CONCAVITY_TOL, hence its sign
+    test, after both sectors' draws as the stream requires; the ranking,
+    `_draw_shares` ranked these floats.
     """
     rng, left = np.random.default_rng(seed), [max_draws]
     while (theta_share := _draw_shares({0: rng}, left, min_share,

@@ -443,12 +443,13 @@ def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
     Yields per round the seeds ks accepted, their snapshot arrays, V, X, a,
     income and sectors' (family, column, params); raises after the seeds
     before the first one out of budget are accepted. Construction meets each
-    row of `_CHECKS`: 0-14, all is finite, sums and share link are off by at
-    most 1,000 ulp (far inside STRUCT_TOL), and the 0.02 floor and X in
-    [0.5, 2] keep shares and allocations in (0, 1); 15-28, sigma is symmetric,
-    `_aes_diagonal` zeroes its rows, and its diagonals are negative (a nested
-    factor's numerator is s_out m1 (1 - theta_M) + s_in m2, m the inner shares);
-    29-30 is tested again, as the CES powers can move the shares across a tie."""
+    check of `validate_economy`: non-finite to share-range, all is finite, sums
+    and share link are off by at most 1,000 ulp (far inside STRUCT_TOL), and the
+    0.02 floor and X in [0.5, 2] keep shares and allocations in (0, 1); aes-*,
+    sigma is symmetric, `_aes_diagonal` zeroes its rows, and its diagonals are
+    negative (a nested factor's numerator is s_out m1 (1 - theta_M) + s_in m2,
+    m the inner shares); the ranking is tested again, as the CES powers can move
+    the shares across a tie."""
     # only land-capital complementarity can reach quadrant IV
     nest = (T, K) if cons.quadrant == "IV" else None
     families = ("two_level_ces",) if nest else cons.families

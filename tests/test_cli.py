@@ -859,6 +859,42 @@ def test_sweep_overwrites_a_longer_file_exactly(tmp_path):
     assert reused.read_bytes() == fresh.read_bytes()
 
 
+def test_sweep_into_a_missing_directory_fails_before_any_row(tmp_path, capsys,
+                                                             monkeypatch):
+    import ews3x2.cli as cli
+
+    def never(*args):
+        raise AssertionError("a row was computed for an unwritable --out")
+
+    monkeypatch.setattr(cli, "_sweep_rows", never)
+    out = tmp_path / "missing" / "s.csv"
+    assert main(["--out", str(out), "sweep", "--seed", "1", "--count", "5",
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_sweep_that_ends_in_a_typed_error_writes_no_csv(tmp_path, capsys,
+                                                        monkeypatch):
+    # a path that did not exist is left without a file, and an existing file
+    # keeps its bytes
+    import ews3x2.cli as cli
+
+    def fail(*args):
+        raise m.ExhaustedRejection("injected failure")
+
+    monkeypatch.setattr(cli.production, "_sample_rounds", fail)
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier,bytes\n")
+    for out in (fresh, kept):
+        assert main(["--out", str(out), "sweep", "--seed", "1", "--count", "5",
+                     "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == "error: injected failure\n"
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_bytes() == b"earlier,bytes\n"
+
+
 def test_sweep_quadrant4_constraint(tmp_path):
     out = tmp_path / "q4.csv"
     assert main(["--out", str(out), "sweep", "--seed", "3", "--count", "8",

@@ -331,7 +331,7 @@ def test_concavity_test_is_the_lapack_decision(monkeypatch):
 @pytest.mark.parametrize("ranked", [True, False])
 def test_sampled_economies_meet_every_check_the_sampler_skips(ranked,
                                                              share_samples):
-    # `sample_economy_shares` runs neither `_validity` nor a ranking re-test:
+    # `sample_economy_shares` runs neither `validate_economy` nor a ranking re-test:
     # construction guarantees them, and this pins that guarantee
     for seed, (e, _) in enumerate(share_samples[ranked]):
         assert m.validate_economy(e, check_ranking=ranked).ok, seed

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ews3x2 as m
 from ews3x2 import production
-from ews3x2.model import K, L, T, _validity
+from ews3x2.model import K, L, T
 from ews3x2.production import (CobbDouglas, Ces, TwoLevelCes, SampledEconomy,
                                _draw_params, _fill_aes_diagonal, _jacobian,
                                _newton, _sample_rounds, _system, _unit_point)
@@ -653,10 +653,11 @@ def test_sampled_economies_validate(seed):
                          ids=PRODUCTION_MODES)
 def test_production_samples_meet_every_check_the_sampler_skips(cons):
     # `_sample_rounds` tests only the ranking and the quadrant: construction
-    # meets every other row of `_CHECKS`, and this pins that guarantee
+    # meets every other check of `validate_economy`, and this pins that guarantee
     for ks, arrays, *_ in _sample_rounds(range(2000), cons):
-        ok = _validity(*arrays, cons.ranked, STRUCT_TOL)[0]
-        assert ok.all(), [k for k, o in zip(ks, ok.tolist()) if not o]
+        for n, k in enumerate(ks):
+            e = m.Economy(*(x[n] for x in arrays))
+            assert m.validate_economy(e, cons.ranked, STRUCT_TOL).ok, k
 
 
 def test_positive_elasticity_families_give_positive_aggregates():
