@@ -1,6 +1,8 @@
 """Cost-function families, the nonlinear equilibrium oracle, samplers, and
 the fixed-share elasticity sweep."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -485,6 +487,35 @@ def test_far_start_failures_do_not_grow():
             continue
         np.testing.assert_allclose(cold.w, eq.w, rtol=1e-8)
     assert failed <= FAR_START_FAILURES
+
+
+#: sha256 of the cold far-start solves of test_far_start_failures_do_not_grow,
+#: with each typed failure's type and message, and of fd_rybczynski on the
+#: first 100 of those seeds (numpy 2.4)
+COLD_SOLVE_DIGEST = (
+    "644069c886a63a66fb800ceec741eb737a3a904fd62415e309e1b682a9123ee4")
+
+
+def test_cold_solve_digest():
+    # pins the Newton oracle bit for bit: a change to its bookkeeping that
+    # keeps the arithmetic keeps this digest
+    samples = m.sample_economies(range(2024, 2324),
+                                 m.SampleConstraints(ranked=True))
+    h = hashlib.sha256()
+    for s in samples:
+        eq = s.equilibrium
+        try:
+            cold = m.solve_equilibrium(s.specs, eq.p, eq.V, w0=[1.5, 0.7, 1.2],
+                                       x0=[0.8, 1.5])
+        except m.Ews3x2Error as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        for x in (cold.w, cold.X, cold.a):
+            h.update(x.tobytes())
+    for s in samples[:100]:
+        eq = s.equilibrium
+        h.update(m.fd_rybczynski(s.specs, eq.p, eq.V, h=1e-4, base=eq).tobytes())
+    assert h.hexdigest() == COLD_SOLVE_DIGEST
 
 
 #: starts no Newton solve can begin from: an entry of w0 at -1, 0, NaN or
