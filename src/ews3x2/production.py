@@ -9,6 +9,8 @@ vector into quadrant IV.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -237,24 +239,31 @@ class EquilibriumPoint:
 
 
 def _on_columns(build, *arrays):
-    """build on the columns x.T of arrays of one batch shape: nested Python
-    floats at one point, numpy scalars where float arithmetic fails."""
+    """build on the columns x.T of arrays of one batch shape, or on lists: nested
+    Python floats at one point, numpy scalars where float arithmetic fails."""
+    cols = arrays if isinstance(arrays[0], list) else [
+        x.T.tolist() if arrays[0].ndim == 1 else x.T for x in arrays]
     try:
-        return build(*[x.T.tolist() if arrays[0].ndim == 1 else x.T for x in arrays])
+        return build(*cols)
     except (ArithmeticError, TypeError):  # float ** and / raise, or ** is complex,
-        return build(*[x.T for x in arrays])  # where numpy gives inf or nan
+        return build(*[np.asarray(x, dtype=float) for x in cols])  # numpy: inf, nan
 
 
 def _system(specs, p, V, w, X):
     """Residuals f (..., 5), coefficients a (..., 3, 2) and unit costs c (..., 2)
-    at (w, X), from the families' `cost_columns`; f also takes V's batch axes."""
+    at (w, X) from `cost_columns`, f with V's batch axes; on lists, Python floats."""
 
     def build(wt, xt):
         (c0, a0), (c1, a1) = specs[0].cost_columns(wt), specs[1].cost_columns(wt)
         ax = [a0[i] * xt[0] + a1[i] * xt[1] for i in range(3)]
-        return tuple(np.array(x, dtype=float).T for x in ([c0, c1], [a0, a1], ax))
+        if isinstance(xt, list):  # float() refuses a complex power
+            c0, c1, ax = float(c0), float(c1), list(map(float, ax))
+        return [c0, c1], [a0, a1], ax
 
     c, a, ax = _on_columns(build, w, X)
+    if isinstance(w, list):
+        return [c[0] - p[0], c[1] - p[1], ax[0] - V[0], ax[1] - V[1], ax[2] - V[2]], a, c
+    c, a, ax = (np.array(x, dtype=float).T for x in (c, a, ax))
     f = np.empty((fe := ax - V).shape[:-1] + (5,))
     f[..., :2], f[..., 2:] = c - p, fe
     return f, a, c
@@ -271,12 +280,26 @@ def _jacobian(specs, w, X, a, c):
         hess = [[ak[0][i] * at[0][h] * sig[0][i][h] + ak[1][i] * at[1][h] * sig[1][i][h]
                  if h != i else 0.0 for h in range(3)] for i in range(3)]
         hess[T][T], hess[K][K], hess[L][L] = _aes_diagonal(hess, wt)
-        return np.array(hess, dtype=float)
+        return hess
 
+    h = _on_columns(hessian, w, X, a, c)
+    if isinstance(a, list):  # one point: the rows as Python floats
+        return np.array([*a[0], 0.0, 0.0, *a[1], 0.0, 0.0, *h[0], a[0][0], a[1][0],
+                         *h[1], a[0][1], a[1][1], *h[2], a[0][2], a[1][2]]).reshape(5, 5)
     jac = np.zeros(a.shape[:-2] + (5, 5))
     jac[..., :2, :3], jac[..., 2:, 3:] = a.swapaxes(-1, -2), a
-    jac[..., 2:, :3] = _on_columns(hessian, w, X, a, c).T.swapaxes(-1, -2)
+    jac[..., 2:, :3] = np.array(h, dtype=float).T.swapaxes(-1, -2)
     return jac
+
+
+def _each(op, *xs):  # op on each entry of lists of floats (one point), or on arrays
+    return list(map(op, *xs)) if isinstance(xs[0], list) else op(*xs)
+
+
+def _top(r):  # the largest entry on r's last axis (kept over a batch), NaN if any is
+    if isinstance(r, list):  # max() keeps a NaN only in first place
+        return math.nan if any(map(math.isnan, r)) else max(r)
+    return r.max(axis=-1, keepdims=True)
 
 
 def _newton(specs, p, V, w0, x0):
@@ -284,55 +307,60 @@ def _newton(specs, p, V, w0, x0):
     for endowment vectors V (..., 3) from the start (w0, x0), whose leading axes
     are V's or none; members that share it share its costs and first Jacobian.
 
-    Unknowns are (w_T, w_K, w_L, X_1, X_2). Steps are clipped to 50% of any
+    Unknowns are z = (w_T, w_K, w_L, X_1, X_2). Steps are clipped to 50% of any
     coordinate to preserve positivity and halved while the residual does not
     decrease. Each member takes the steps of its own solve: once its relative
     residual is below NEWTON_TOL it is frozen, and the line search halves only
-    the members whose residual has not fallen. Returns w (..., 3), X (..., 2)
-    and a (..., 3, 2); the first failure met raises for the whole batch.
+    the members whose residual has not fallen. At one point (V (3,), a start
+    without batch axes) z is Python floats and only the Jacobian and f become
+    arrays. Returns w (..., 3), X (..., 2), a (..., 3, 2); any failure raises for all.
     """
-    scale = np.concatenate([np.broadcast_to(p, V.shape[:-1] + (2,)), V], axis=-1)
-
-    def evaluate(z):
-        f, a, c = _system(specs, p, V, z[..., :3], z[..., 3:])
-        return z, f, a, c, np.abs(f / scale).max(axis=-1)
-
     z = np.empty((np.shape(w0)[:-1] or np.shape(x0)[:-1]) + (5,))
     z[..., :3], z[..., 3:] = w0, x0
-    z, f, a, c, norm = evaluate(z)
+    if point := z.ndim == V.ndim == 1:  # a zero stays a numpy scalar: it divides to inf
+        z, p, V = (y if 0.0 not in (y := x.tolist()) else list(x) for x in (z, p, V))
+    scale = p + V if point else np.concatenate(
+        [np.broadcast_to(p, V.shape[:-1] + (2,)), V], axis=-1)
+    some, negate, larger, pick = (  # any, not, elementwise max and where
+        (bool, operator.not_, max, lambda mask, new, old: new if mask else old) if point
+        else (np.ndarray.any, np.invert, np.maximum, np.where))
+
+    def evaluate(z):  # z, f, the Jacobian's (w, X, a, c) and the residual norm
+        w, X = (z[:3], z[3:]) if point else (z[..., :3], z[..., 3:])
+        f, a, c = _system(specs, p, V, w, X)
+        return z, f, (w, X, a, c), _top(_each(lambda x, s: abs(x / s), f, scale))
+
+    z, f, at, norm = evaluate(z)
     for _ in range(NEWTON_MAX_ITER):
-        live = ~(norm < NEWTON_TOL)
-        if not live.any():
+        live = negate(norm < NEWTON_TOL)
+        if not some(live):
             break
-        jac = _jacobian(specs, z[..., :3], z[..., 3:], a, c)
-        step = -solve_partial_pivot(jac, f[..., None])[..., 0]
-        clip = (np.abs(step) / (0.5 * z)).max(axis=-1)
-        if (~(clip <= 1.0)).any():  # a NaN clip divides too
-            step /= np.maximum(clip, 1.0)[..., None]
-        if not live.all():
-            step[~live] = 0.0  # converged members stay where they are
-        # members whose residual did not fall retry at 1/2, 1/4, ..., 1/2^39;
-        # the others keep the step they took
-        trial = evaluate(z + step)
-        retry = live & ~(trial[-1] < norm)
-        lam = 1.0
-        while retry.any():
+        x = solve_partial_pivot(_jacobian(specs, *at), f if point else f[..., None])
+        x = x.tolist() if point else x[..., 0]
+        clip = larger(_top(_each(lambda s, y: abs(s) / (0.5 * y), x, z)), 1.0)
+        step = _each(lambda s: -s / clip, x)  # a NaN clip divides too
+        # the live members move; those whose residual did not fall retry at
+        # 1/2, 1/4, ..., 1/2^39, the others keep the step they took
+        trial = evaluate(_each(operator.add, z, pick(live, step, 0.0)))
+        lam, retry = 1.0, live & negate(trial[-1] < norm)
+        while some(retry):
             if lam == 0.5 ** 39:
-                raise NonConvergence(
-                    f"line search stalled at residual {np.max(norm[retry]):.3e}")
+                raise NonConvergence("line search stalled at residual "
+                                     f"{np.max(norm, where=retry, initial=0.0):.3e}")
             lam *= 0.5
-            trial = evaluate(np.where(retry[..., None], z + lam * step, trial[0]))
-            retry &= ~(trial[-1] < norm)
-        z, f, a, c, norm = trial
+            trial = evaluate(pick(retry, _each(lambda y, s: y + lam * s, z, step), trial[0]))
+            retry &= negate(trial[-1] < norm)
+        z, f, at, norm = trial
     else:
         raise NonConvergence(f"no convergence after {NEWTON_MAX_ITER} "
                              f"iterations (residual {np.max(norm):.3e})")
-    if z.shape[:-1] != norm.shape:  # converged at the start its members share
-        z = np.broadcast_to(z, norm.shape + (5,)).copy()
-        a = np.broadcast_to(a, norm.shape + (3, 2)).copy()
+    z, a = (np.array(z), np.array(at[2]).T) if point else (z, at[2])
+    if z.shape[:-1] != (n := np.shape(norm)[:-1]):  # converged at the start it shares
+        z = np.broadcast_to(z, n + (5,)).copy()
+        a = np.broadcast_to(a, n + (3, 2)).copy()
     X = z[..., 3:]
     bad = (X <= 0).any(axis=-1)
-    if bad.any():
+    if some(bad):
         raise Specialization(
             f"non-positive output at the solution: X = {X[bad][0]}")
     return z[..., :3], X, a
@@ -372,10 +400,12 @@ _BUMPS = np.kron(np.eye(3), [[1.0], [-1.0]])
 def fd_rybczynski(specs, p, V, h: float = 1e-4, base: EquilibriumPoint | None = None):
     """Finite-difference output elasticities to endowment changes.
 
-    Central differences with relative step h on each V_i, the six perturbed
-    equilibria solved as one Newton batch from the base point they share; the
-    independent nonlinear oracle for the linearized Rybczynski matrix.
+    Central differences with relative step h, 0 < |h| < 1, on each V_i, the six
+    perturbed equilibria solved as one Newton batch from the base point they
+    share; the independent nonlinear oracle for the linearized Rybczynski matrix.
     """
+    if not (0.0 < abs(h) < 1.0):
+        raise ValueError(f"h must be finite with 0 < |h| < 1, not {h!r}")
     p, V = np.asarray(p, dtype=float), np.asarray(V, dtype=float)
     if base is None:
         base = solve_equilibrium(specs, p, V)

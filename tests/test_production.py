@@ -365,6 +365,14 @@ def test_fd_rybczynski_without_a_base_solves_for_it(sampled):
                           m.fd_rybczynski(specs, eq.p, eq.V, base=base))
 
 
+@pytest.mark.parametrize("h", [0.0, 1.0, -1.0, 2.0, np.nan, np.inf])
+def test_fd_rybczynski_refuses_unusable_steps(sampled, h):
+    # h = 0 divides by zero, and |h| >= 1 bumps an endowment to zero or below
+    eq = sampled.equilibrium
+    with pytest.raises(ValueError, match=r"0 < \|h\| < 1"):
+        m.fd_rybczynski(sampled.specs, eq.p, eq.V, h=h, base=eq)
+
+
 def test_fd_rybczynski_batch_equals_solo_solves():
     """The six-member Newton batch against six separate solves, on the
     production-backed half of mixed_pool(2024, 400)."""
@@ -425,7 +433,7 @@ def test_newton_batch_members_take_their_solo_steps():
                              x0[k:k + 1])
         assert np.array_equal(w[k], w1[0]) and np.array_equal(X[k], X1[0])
         assert np.array_equal(a[k], a1[0])
-        # one point evaluates the specs on numpy scalars
+        # one point runs on Python floats, whose powers are libm's
         solo = m.solve_equilibrium(s.specs, eq.p, V[k], w0=w0[k], x0=x0[k])
         np.testing.assert_allclose(X[k], solo.X, rtol=1e-10)
         np.testing.assert_allclose(w[k], solo.w, rtol=1e-10)
@@ -539,6 +547,29 @@ def test_bad_starts_raise_singular_system(families):
     for w0, x0 in BAD_STARTS:
         with np.errstate(all="ignore"), pytest.raises(m.SingularSystem):
             m.solve_equilibrium(specs, np.ones(2), V, w0=w0, x0=x0)
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 1.0], [1.0, np.nan]], ids=["X1", "X2"])
+def test_nan_output_start_raises_singular_system(sampled, x0):
+    # at the calibrated w the zero-profit residuals are exactly 0, so a residual
+    # norm that dropped the NaN full-employment residuals would call this start
+    # converged and return NaN outputs
+    eq = sampled.equilibrium
+    with np.errstate(all="ignore"), pytest.raises(m.SingularSystem):
+        m.solve_equilibrium(sampled.specs, eq.p, eq.V, w0=eq.w, x0=x0)
+
+
+@pytest.mark.parametrize("p, V, x0", [
+    (None, None, [0.0, 1.0]), (None, None, [1.0, 0.0]),
+    (None, [0.0, 1.0, 1.0], None), ([0.0, 1.0], None, None)],
+    ids=["X1", "X2", "V_T", "p_1"])
+def test_zero_start_or_scale_is_a_typed_error(sampled, p, V, x0):
+    # a zero output or a zero price or endowment divides to inf or nan as over
+    # a batch, and the line search stalls; no ZeroDivisionError escapes
+    eq = sampled.equilibrium
+    with np.errstate(all="ignore"), pytest.raises(m.NonConvergence):
+        m.solve_equilibrium(sampled.specs, eq.p if p is None else p,
+                            eq.V if V is None else V, x0=x0)
 
 
 CD_SPECS = (m.calibrated_spec("cobb_douglas", [0.45, 0.2, 0.35]),
