@@ -217,8 +217,8 @@ SWEEP_HEADER = [
 ]
 
 
-#: most rows computed as one batch: it bounds the batch's arrays (about 7 kB a
-#: pending seed), while the rows are all held until the CSV is written
+#: most rows computed as one batch: it bounds the batch's arrays (a peak of about
+#: 6.5 kB a seed), while the rows are all held until the CSV is written
 SWEEP_CHUNK = 128
 
 #: a sweep row's shock, p* = (1, 0), and the right-hand sides of its hat-systems
@@ -235,12 +235,7 @@ def _sweep_rows(first_index: int, seeds, constraint: str) -> list:
     cons = production.SampleConstraints(
         ranked=True, quadrant="IV" if constraint == "quadrant4" else None)
     try:
-        th, la, tf, sigma = (np.empty((len(seeds),) + shape)
-                             for shape in ((3, 2), (3, 2), (3,), (2, 3, 3)))
-        drawn = {}
-        for ks, arrays, *_, sectors in production._sample_rounds(seeds, cons):
-            th[ks], la[ks], _, tf[ks], sigma[ks] = arrays
-            drawn.update(zip(ks, sectors))
+        (th, la, _, tf, sigma), *_, drawn = production._sample_rounds(seeds, cons)
         x, eps = statics._solve_hats(th, la, sigma, _SWEEP_RHS)
         g = model._ews(la, eps)
         s, u = model._ews_ratios(g)

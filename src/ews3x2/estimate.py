@@ -367,7 +367,7 @@ class EstimateReport:
         t = self.theorem1
         return {
             "P": self.P,
-            "factor_permutation": [FACTORS[i] for i in (0, 1, 2)],
+            "factor_permutation": list(FACTORS),
             "input_factor_roles": list(self.preprocess.permutation),
             "time_reversed": self.preprocess.reversed,
             "ranking": t.ranking,

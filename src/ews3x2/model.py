@@ -418,7 +418,8 @@ def _draw_shares(rngs: dict, left, min_share: float, ranked: bool) -> dict:
     ranking; `left` loses the candidates used. The blocks of up to _BLOCK
     candidates of all generators still searching are tested as one array; on
     a hit at i the generator is rewound and redraws i + 1, as one at a time."""
-    out, live, e = {}, list(rngs), np.empty((len(rngs) * _BLOCK, 2, 3))
+    out, e = {}, np.empty((len(rngs) * _BLOCK, 2, 3))
+    live = [k for k in rngs if left[k] > 0]  # a budget below one draws nothing
     while live:
         states = []
         for r, k in enumerate(live):

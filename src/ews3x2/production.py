@@ -467,85 +467,77 @@ def _draw_params(rng, family: str, nest=None) -> dict:
 
 
 def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
-    """The lockstep rounds of `sample_economies`: each pending seed takes its
-    next shares from one `_draw_shares` pass and draws the rest of its
-    candidate as it would alone, evaluated at the unit point (`_unit_point`).
-    Yields per round the seeds ks accepted, their snapshot arrays, V, X, a,
-    income and sectors' (family, column, params); raises after the seeds
-    before the first one out of budget are accepted. Construction meets each
-    check of `validate_economy`: non-finite to share-range, all is finite, sums
-    and share link are off by at most 1,000 ulp (far inside STRUCT_TOL), and the
-    0.02 floor and X in [0.5, 2] keep shares and allocations in (0, 1); aes-*,
-    sigma is symmetric, `_aes_diagonal` zeroes its rows, and its diagonals are
-    negative (a nested factor's numerator is s_out m1 (1 - theta_M) + s_in m2,
-    m the inner shares); the ranking is tested again, as the CES powers can move
-    the shares across a tie."""
+    """The batch of `sample_economies`, in seed order: the snapshot arrays, V, X,
+    a, income and each seed's sectors' (family, column, params). In lockstep
+    rounds each pending seed takes its next shares from one `_draw_shares` pass
+    and draws the rest of its candidate as it would alone, at the unit point
+    (`_unit_point`), into its own row, over the candidate it rejected; a round
+    tests only its rows. Raises after the seeds before the first one out of
+    budget are accepted. Construction meets each check of `validate_economy`:
+    non-finite to share-range, all is finite, sums and share link are off by at
+    most 1,000 ulp (far inside STRUCT_TOL), and the 0.02 floor and X in [0.5, 2]
+    keep shares and allocations in (0, 1); aes-*, sigma is symmetric,
+    `_aes_diagonal` zeroes its rows, and its diagonals are negative (a nested
+    factor's numerator is s_out m1 (1 - theta_M) + s_in m2, m the inner shares);
+    the ranking is tested again on a, the snapshot shares at w = p = 1, as the
+    CES powers can move the shares across a tie."""
     # only land-capital complementarity can reach quadrant IV
     nest = (T, K) if cons.quadrant == "IV" else None
     families = ("two_level_ces",) if nest else cons.families
     rngs = [np.random.default_rng(seed) for seed in seeds]
     ks, left = list(range(len(rngs))), [max_draws] * len(rngs)
     exhausted = len(rngs)  # index of the first seed out of candidates
-    w, p = np.ones(3), np.ones(2)
+    X, a, sigma = (np.empty((len(rngs),) + shape)
+                   for shape in ((2,), (3, 2), (2, 3, 3)))
+    drawn = [None] * len(rngs)
     while ks:
         shares = _draw_shares({k: rngs[k] for k in ks}, left, cons.min_share,
                               cons.ranked)
         if len(shares) < len(ks):
             exhausted = min([exhausted] + [k for k in ks if k not in shares])
-        ks = list(shares)
-        drawn = []
-        X, a, sigma = (np.empty((len(ks),) + shape)
-                       for shape in ((2,), (3, 2), (2, 3, 3)))
-        for n, k in enumerate(ks):
-            rng = rngs[k]
-            drawn.append([])
+        ks = sorted(shares)
+        for k in ks:
+            rng, drawn[k] = rngs[k], []
             for col in shares[k].T.tolist():
                 family = (families[0] if len(families) == 1
                           else families[rng.integers(len(families))])
-                drawn[n].append((family, col, _draw_params(rng, family, nest)))
-            X[n] = rng.uniform(0.5, 2.0, size=2)
-            for j, args in enumerate(drawn[n]):
-                a[n, :, j], sigma[n, j] = _unit_point(*args)
-        V = np.matmul(a, X[..., None])[..., 0]
-        income = X[:, 0] + X[:, 1]
-        arrays = _snapshot_shares(w, p, V, X, a, income) + (sigma,)
-        ok = intensity_ranked(arrays[0]) if cons.ranked else np.ones(len(ks), bool)
-        if cons.quadrant is not None:
-            s, u = _ews_ratios(_ews(arrays[1], _epsilon(arrays[0], sigma)))
-            ok &= in_quadrant(s, u, cons.quadrant)
-        ok = ok.tolist()
-        if all(ok):
-            yield ks, arrays, V, X, a, income, drawn
-        elif any(ok):
-            acc = [n for n, o in enumerate(ok) if o]
-            yield ([ks[n] for n in acc], tuple(x[acc] for x in arrays),
-                   *(x[acc] for x in (V, X, a, income)), [drawn[n] for n in acc])
-        ks = [k for k, o in zip(ks, ok) if not o and k < exhausted]
+                drawn[k].append((family, col, _draw_params(rng, family, nest)))
+            X[k] = rng.uniform(0.5, 2.0, size=2)
+            for j, args in enumerate(drawn[k]):
+                a[k, :, j], sigma[k, j] = _unit_point(*args)
+        rows = ks if len(ks) < len(rngs) else slice(None)  # all, sorted: no copy
+        th = a[rows]
+        ok = intensity_ranked(th) if cons.ranked else np.ones(len(ks), bool)
+        if cons.quadrant is not None:  # the allocations of `_snapshot_shares`
+            x = X[rows]
+            la = th * x[:, None, :] / np.matmul(th, x[..., None])
+            ok &= in_quadrant(*_ews_ratios(_ews(la, _epsilon(th, sigma[rows]))),
+                              cons.quadrant)
+        ks = [k for k, o in zip(ks, ok.tolist()) if not o and k < exhausted]
     if exhausted < len(rngs):
         raise ExhaustedRejection(
             f"no economy satisfying {cons} within {max_draws} draws "
             f"(seed {seeds[exhausted]})")
+    V = np.matmul(a, X[..., None])[..., 0]
+    income = X[:, 0] + X[:, 1]
+    return (_snapshot_shares(np.ones(3), np.ones(2), V, X, a, income) + (sigma,),
+            V, X, a, income, drawn)
 
 
 def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints(),
                      max_draws: int = 100_000) -> list:
-    """Rejection-sample one production-backed economy per seed, in the rounds
+    """Rejection-sample one production-backed economy per seed, from the batch
     of `_sample_rounds`. seeds is a sequence of seeds or Generators, each
     passed to np.random.default_rng; each sample records its own. Specs are
     calibrated so that w = (1,1,1), p = (1,1) is an exact equilibrium;
     endowments follow from a random output draw. If seeds exhaust the budget,
     the first of them raises."""
-    out = [None] * len(seeds)
-    for ks, arrays, V, X, a, income, drawn in _sample_rounds(seeds, constraints,
-                                                             max_draws):
-        for n, k in enumerate(ks):
-            eq = EquilibriumPoint(np.ones(3), np.ones(2), V[n], X[n], a[n],
-                                  float(income[n]))
-            specs = tuple(calibrated_spec(family, col, **params)
-                          for family, col, params in drawn[n])
-            out[k] = SampledEconomy(Economy(*(arr[n] for arr in arrays)),
-                                    specs, eq, seeds[k])
-    return out
+    arrays, V, X, a, income, drawn = _sample_rounds(seeds, constraints, max_draws)
+    return [SampledEconomy(
+        Economy(*(arr[k] for arr in arrays)),
+        tuple(calibrated_spec(f, col, **params) for f, col, params in drawn[k]),
+        EquilibriumPoint(np.ones(3), np.ones(2), V[k], X[k], a[k], float(income[k])),
+        seed) for k, seed in enumerate(seeds)]
 
 
 def sample_economy(seed: int, constraints: SampleConstraints = SampleConstraints(),

@@ -795,12 +795,11 @@ def test_sweep_reports_a_degenerate_quadrant_iv_row_through_the_fallback(
     def sampler(seeds, *args):
         if seed + 5 in seeds:
             raise m.ExhaustedRejection("row 5 has no economy")
-        for ks, arrays, *rest in rounds(seeds, *args):
-            for n, k in enumerate(ks):
-                if seeds[k] == seed + 3:
-                    for arr, f in zip(arrays, dataclasses.fields(flat)):
-                        arr[n] = getattr(flat, f.name)
-            yield (ks, arrays, *rest)
+        batch = rounds(seeds, *args)
+        if seed + 3 in seeds:
+            for arr, f in zip(batch[0], dataclasses.fields(flat)):
+                arr[seeds.index(seed + 3)] = getattr(flat, f.name)
+        return batch
 
     monkeypatch.setattr(cli.production, "_sample_rounds", sampler)
     assert main(["--out", str(tmp_path / "s.csv"), "sweep", "--seed", str(seed),

@@ -191,7 +191,7 @@ def _outcome(fn, *args, **kwargs):
     return str(info.value), rng.bit_generator.state
 
 
-@pytest.mark.parametrize("max_draws", [0, 1, 31, 32, 33, 100])
+@pytest.mark.parametrize("max_draws", [-31, -1, 0, 1, 31, 32, 33, 100])
 def test_exhausted_budget_matches_reference(max_draws):
     # three shares of at least 0.34 cannot sum to one
     assert (_outcome(m.sample_economy_shares, min_share=0.34,
@@ -257,6 +257,19 @@ def test_batched_sampler_raises_for_the_first_exhausted_seed():
         assert_same_sample(s, reference_sample_economy(seed, cons)[0])
 
 
+@pytest.mark.parametrize("max_draws", [-31, -3, -1, 0])
+def test_batch_without_a_budget_names_the_first_seed(max_draws):
+    cons = m.SampleConstraints(ranked=True)
+    rngs = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+    with pytest.raises(ExhaustedRejection,
+                       match=rf"within {max_draws} draws \(seed 1\)$"):
+        m.sample_economies([1, 2, 3], cons, max_draws)
+    with pytest.raises(ExhaustedRejection):
+        m.sample_economies(rngs, cons, max_draws)
+    for seed, rng in zip((1, 2, 3), rngs):  # no generator drew
+        assert same_state(rng, np.random.default_rng(seed)), seed
+
+
 def _reference_outcome(seed, cons, max_draws):
     """The reference's sample, or its ExhaustedRejection, and its generator."""
     rng = np.random.default_rng(seed)
@@ -313,17 +326,30 @@ def test_round_arrays_are_the_samples_fields(cons):
     from ews3x2.production import _sample_rounds
     seeds = list(SEEDS)
     samples = m.sample_economies(seeds, cons)
-    met = []
-    for ks, arrays, V, X, a, income, drawn in _sample_rounds(seeds, cons):
-        for n, k in enumerate(ks):
-            s, eq = samples[k], samples[k].equilibrium
-            fields = [getattr(s.economy, f.name)
-                      for f in dataclasses.fields(s.economy)]
-            fields += [eq.V, eq.X, eq.a, eq.income]
-            for got, want in zip([arr[n] for arr in arrays + (V, X, a, income)],
-                                 fields, strict=True):
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            assert [family for family, _, _ in drawn[n]] == [
-                spec.form for spec in s.specs]
-            met.append(k)
-    assert sorted(met) == list(range(len(seeds)))
+    arrays, V, X, a, income, drawn = _sample_rounds(seeds, cons)
+    assert len(drawn) == len(V) == len(seeds)
+    for k, s in enumerate(samples):
+        eq = s.equilibrium
+        fields = [getattr(s.economy, f.name) for f in dataclasses.fields(s.economy)]
+        fields += [eq.V, eq.X, eq.a, eq.income]
+        for got, want in zip([arr[k] for arr in arrays + (V, X, a, income)],
+                             fields, strict=True):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert [family for family, _, _ in drawn[k]] == [
+            spec.form for spec in s.specs]
+
+
+def test_empty_batch_is_empty():
+    assert m.sample_economies([]) == []
+
+
+@pytest.mark.parametrize("cons", [PRODUCTION_MODES["ranked"],
+                                  PRODUCTION_MODES["quadrant_iv"]],
+                         ids=["ranked", "quadrant_iv"])
+def test_repeated_seeds_each_get_their_own_economy(cons):
+    # rows are written in place round by round: a seed drawn twice, around
+    # another, still gets at each position the economy it gets alone
+    seeds = [5, 5, 8, 5]
+    for seed, s in zip(seeds, m.sample_economies(seeds, cons), strict=True):
+        assert_same_sample(s, m.sample_economy(seed, cons))
+        assert s.seed == seed
