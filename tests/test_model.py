@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
+from ews3x2 import model
 from ews3x2.model import (K, L, T, _aes_diagonal, _concave, _dirichlet,
                           _ews_ratios, _fill_aes_diagonal)
 from ews3x2.tolerances import CONCAVITY_TOL, IDENT_TOL, STRUCT_TOL, ZERO_TOL
@@ -341,6 +342,20 @@ def test_sampled_economies_meet_every_check_the_sampler_skips(ranked,
         forms = g.determinant_identity()
         assert min(forms) > 0, seed
         assert max(forms) - min(forms) < 1e-10 * max(1.0, abs(forms[0])), seed
+
+
+@pytest.mark.parametrize("ranked", [True, False])
+def test_share_sampler_accept_tests_hold_without_concavity(ranked, monkeypatch):
+    # with `_concave` passing every sector, only the accept tests stand between
+    # a candidate and the caller: each of them must still hold on what returns
+    monkeypatch.setattr(model, "_concave", lambda s, th: True)
+    for seed in range(300):
+        e = m.sample_economy_shares(seed, ranked=ranked)
+        assert (np.diagonal(e.sigma, axis1=1, axis2=2) < 0).all(), seed
+        g = m.ews_matrix(e)
+        assert (np.diag(g.g) < 0).all(), seed
+        assert sum(v < 0 for v in (g.g_LK, g.g_LT, g.g_KT)) <= 1, seed
+        assert min(g.determinant_identity()) > 0, seed
 
 
 def test_mixed_pool_builds_valid_economies():
