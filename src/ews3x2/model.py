@@ -294,17 +294,12 @@ class EwsMatrix:
         share-ratio form). All three are equal in exact arithmetic and
         strictly positive for a valid economy.
         """
-        return _determinant_forms(self.g.tolist(), self.theta_factor.tolist())
-
-
-def _determinant_forms(g, tf) -> tuple:
-    """`EwsMatrix.determinant_identity` of g[i][h] and theta_factor tf[i]."""
-    lhs = g[K][K] * g[T][T] - g[T][K] * g[K][T]
-    mid = g[K][T] * g[T][L] + g[K][L] * g[T][K] + g[K][L] * g[T][L]
-    ltk = tf[L] / tf[T]
-    lkk = tf[L] / tf[K]
-    rhs = ltk * (g[K][T] * (g[L][T] + g[L][K]) + lkk * g[L][K] * g[L][T])
-    return float(lhs), float(mid), float(rhs)
+        g, tf = self.g.tolist(), self.theta_factor.tolist()
+        lhs = g[K][K] * g[T][T] - g[T][K] * g[K][T]
+        mid = g[K][T] * g[T][L] + g[K][L] * g[T][K] + g[K][L] * g[T][L]
+        ltk, lkk = tf[L] / tf[T], tf[L] / tf[K]
+        rhs = ltk * (g[K][T] * (g[L][T] + g[L][K]) + lkk * g[L][K] * g[L][T])
+        return lhs, mid, rhs
 
 
 def ews_matrix(e: Economy) -> EwsMatrix:
@@ -462,19 +457,20 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
                           max_draws: int = 100_000) -> Economy:
     """Rejection-sample a valid economy directly at the share/AES level.
 
-    Unlike the production-backed sampler this draws the Allen matrices
-    freely, so it reaches substitution patterns no single-nest CES technology
-    can produce. Deterministic for a fixed seed. `_draw_shares` tests the
-    shares; the rest is tested on plain floats: each sector by `_concave`, then
-    the Allen diagonals' signs and the EWS tests. Each check of
-    `validate_economy` holds by construction: non-finite, no divisor is below
-    0.02 * 0.01; the sums, each is of terms scaled by one over their sum, or of
-    such sums, so one to a few ulp; share-link, lambda_share is `_allocations`;
+    Unlike the production-backed sampler this draws the Allen matrices freely,
+    so it reaches substitution patterns no single-nest CES technology can
+    produce. Deterministic for a fixed seed. `_draw_shares` tests the shares and
+    `_concave` each sector, on floats; the economy must then have negative Allen
+    diagonals, at most one complementary EWS pair and positive determinant forms.
+    So its EWS diagonal g_ii = sum_j lambda_ij theta_ij sigma^j_ii is negative:
+    with the floors below, both terms are, far above the subnormal range. Each
+    check of `validate_economy` holds by construction: non-finite, no divisor is
+    below 0.02 * 0.01; the sums, each is of terms scaled by one over their sum,
+    or of such sums, so a few ulp; share-link, lambda_share is `_allocations`;
     share-range, the floors keep shares in [0.02, 0.96] and allocations 0.0002
-    from 0 and 1; aes-*, sigma is symmetric and `_aes_diagonal` zeroes its
-    rows, but concavity bounds a diagonal only by CONCAVITY_TOL, hence its sign
-    test, after both sectors' draws as the stream requires; the ranking,
-    `_draw_shares` ranked these floats.
+    from 0 and 1; aes-*, sigma is symmetric and `_aes_diagonal` zeroes its rows;
+    concavity bounds a diagonal only by CONCAVITY_TOL, hence its sign test, after
+    both sectors' draws as the stream requires; ranking, `_draw_shares` did it.
     """
     rng, left = np.random.default_rng(seed), [max_draws]
     while (theta_share := _draw_shares({0: rng}, left, min_share,
@@ -492,15 +488,11 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
                 break
             sigma.append(s)
         else:
-            theta_good = np.array(theta_good)
-            theta_factor = theta_share @ theta_good
-            arrays = (theta_share, _allocations(theta_share, theta_good, theta_factor),
-                      theta_good, theta_factor, np.array(sigma))
-            g = _ews(arrays[1], _epsilon(theta_share, arrays[4])).tolist()
+            e = Economy.from_shares(theta_share, theta_good, sigma)
+            g = ews_matrix(e)
             if (max(sg[i][i] for sg in sigma for i in (T, K, L)) < 0
-                    and g[T][T] < 0 and g[K][K] < 0 and g[L][L] < 0
-                    and (g[L][K] < 0) + (g[L][T] < 0) + (g[K][T] < 0) <= 1
-                    and min(_determinant_forms(g, theta_factor.tolist())) > 0):
-                return Economy(*arrays)
+                    and (g.g_LK < 0) + (g.g_LT < 0) + (g.g_KT < 0) <= 1
+                    and min(g.determinant_identity()) > 0):
+                return e
     raise ExhaustedRejection(
         f"no valid share-level economy within {max_draws} draws")
