@@ -203,9 +203,8 @@ def _write_estimate_svg(obs, rep, path):
     fig.add_boundary(r)
     if t1.point_a is not None and t1.point_b is not None:
         fig.add_segment(t1.point_a, t1.point_b)
-    t_1, t_2 = geometry.r_thresholds(norm.theta_share).tolist()
-    fig.add_threshold(t_1, "S'(R_L1)")
-    fig.add_threshold(t_2, "S'(R_L2)")
+    for j, t in enumerate(geometry.r_thresholds(norm.theta_share).tolist(), 1):
+        fig.add_threshold(t, f"S'(R_L{j})")
     Path(path).write_text(fig.to_svg())
 
 
@@ -360,11 +359,11 @@ def cmd_plot(args) -> int:
 
 
 def tolerance(text: str) -> float:
-    """The --tolerance type: a float that is finite and >= 0."""
-    tol = float(text)
-    if not (np.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text}")
-    return tol
+    """The --tolerance type: a float that `model.check_tolerance` accepts."""
+    try:
+        return model.check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,13 +94,10 @@ def vector_line(resp: Response, e: Economy) -> VectorLine:
     a1 = a_T0' theta_T W_LK / (a_L0' theta_K W_KT),
     b1 = a_K0' W_LT / (a_L0' W_KT), with W_ih = w_i* - w_h*.
     """
-    a0 = resp.a0_prime
-    W = resp.W
-    band = resp.shock.zero_band
+    W, a0, tf, band = resp.W, resp.a0_prime, e.theta_factor, resp.shock.zero_band
     if abs(W[K, T]) < band or abs(a0[L]) < band:
         raise DegenerateShock(
             "uniform factor-price change or vanishing a_L0'; vector line undefined")
-    tf = e.theta_factor
     a1 = a0[T] * tf[T] * W[L, K] / (a0[L] * tf[K] * W[K, T])
     b1 = a0[K] * W[L, T] / (a0[L] * W[K, T])
     return VectorLine(float(a1), float(b1))

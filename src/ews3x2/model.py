@@ -154,15 +154,23 @@ class ValidationReport:
 _ARRAYS = ("theta_share", "lambda_share", "theta_good", "theta_factor", "sigma")
 
 
+def check_tolerance(tol: float) -> float:
+    """tol if it is finite and >= 0, as `validate_economy` needs; else ValueError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"must be finite and >= 0, not {tol}")
+    return tol
+
+
 def validate_economy(e: Economy, check_ranking: bool = False,
                      tol: float = STRUCT_TOL) -> ValidationReport:
     """Check every structural constraint of the snapshot; report all violations.
 
-    Violations are reported, never raised, so a CLI caller can show them all
-    at once, except that the first non-finite array is reported alone.
-    `check_ranking` additionally enforces the factor-intensity ranking (T/K
-    extreme, L middle, L used intensively in sector 1).
+    Violations are reported, never raised, so a CLI caller can show them all at
+    once, except that the first non-finite array is reported alone; a `tol` that
+    `check_tolerance` refuses raises. `check_ranking` also enforces the ranking
+    (T/K extreme, L middle, L used intensively in sector 1).
     """
+    check_tolerance(tol)
     rep = ValidationReport()
     for name in _ARRAYS:
         if not np.isfinite(getattr(e, name)).all():

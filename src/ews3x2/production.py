@@ -484,7 +484,10 @@ def _sample_rounds(seeds, cons: SampleConstraints, max_draws: int = 100_000):
     # only land-capital complementarity can reach quadrant IV
     nest = (T, K) if cons.quadrant == "IV" else None
     families = ("two_level_ces",) if nest else cons.families
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs, first = [np.random.default_rng(seed) for seed in seeds], {}
+    for k, rng in enumerate(rngs):  # two rows on one stream would interleave it
+        if (j := first.setdefault(id(rng.bit_generator), k)) < k:
+            raise ValueError(f"seeds[{j}] and seeds[{k}] share one bit generator")
     ks, left = list(range(len(rngs))), [max_draws] * len(rngs)
     exhausted = len(rngs)  # index of the first seed out of candidates
     X, a, sigma = (np.empty((len(rngs),) + shape)
@@ -528,10 +531,10 @@ def sample_economies(seeds, constraints: SampleConstraints = SampleConstraints()
                      max_draws: int = 100_000) -> list:
     """Rejection-sample one production-backed economy per seed, from the batch
     of `_sample_rounds`. seeds is a sequence of seeds or Generators, each
-    passed to np.random.default_rng; each sample records its own. Specs are
-    calibrated so that w = (1,1,1), p = (1,1) is an exact equilibrium;
-    endowments follow from a random output draw. If seeds exhaust the budget,
-    the first of them raises."""
+    passed to np.random.default_rng (two that share a bit generator raise
+    ValueError); each sample records its own. Specs are calibrated so that
+    w = (1,1,1), p = (1,1) is an exact equilibrium; endowments follow from a
+    random output draw. If seeds exhaust the budget, the first of them raises."""
     arrays, V, X, a, income, drawn = _sample_rounds(seeds, constraints, max_draws)
     return [SampledEconomy(
         Economy(*(arr[k] for arr in arrays)),

@@ -858,6 +858,13 @@ def test_sweep_overwrites_a_longer_file_exactly(tmp_path):
     assert reused.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_sweep_into_a_device_is_not_truncated(capsys):
+    # a device has no length to cut: truncating /dev/null raises EINVAL
+    assert main(["--out", "/dev/null", "sweep", "--seed", "1", "--count", "2"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_sweep_into_a_missing_directory_fails_before_any_row(tmp_path, capsys,
                                                              monkeypatch):
     import ews3x2.cli as cli

@@ -1,6 +1,7 @@
 """Ratio-plane geometry: boundary curve, vector line, segment AB, special
 points, and the subregion classification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,19 @@ def test_degenerate_shock_raises(e0):
         label=resp.label)
     with pytest.raises(m.DegenerateShock):
         m.vector_line(flat, e0)
+
+
+def test_segment_refuses_the_terms_the_vector_line_does_not_test(e0):
+    # W_KL and a_T0' enter only the endpoints, so segment_ab tests them itself
+    resp = m.stolper_samuelson(e0, 1.0)
+    line = m.vector_line(resp, e0)
+    W, a0 = resp.W.copy(), resp.a0_prime.copy()
+    W[K, L] = W[L, K] = 0.0
+    a0[T] = 0.0
+    for name, flat in (("W_KL", dataclasses.replace(resp, W=W)),
+                       ("a_T0'", dataclasses.replace(resp, a0_prime=a0))):
+        with pytest.raises(m.DegenerateShock, match=name):
+            m.segment_ab(line, flat, e0)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,20 @@ def test_validation_reports_all_violations_at_once():
     assert "magnitude 0.000e+00" in str(rep) and "-0.000e+00" not in str(rep)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_validation_refuses_a_tolerance_that_is_not_finite_and_not_negative(e0, tol):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        m.validate_economy(e0, tol=tol)
+
+
+def test_validation_accepts_a_zero_tolerance(e0):
+    # at 0 every residual above zero is reported: e0's weighted Allen rows
+    # sum to a few ulp, and nothing else is off
+    rep = m.validate_economy(e0, tol=0.0)
+    assert set(rep.codes()) == {"aes-row-sum"}
+    assert all(0 < v.magnitude < 1e-15 for v in rep.violations)
+
+
 ARRAY_NAMES = ("theta_share", "lambda_share", "theta_good", "theta_factor", "sigma")
 
 

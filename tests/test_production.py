@@ -669,6 +669,28 @@ UNIT_POINT_DRAWS = [("cobb_douglas", None), ("ces", None),
                     ("two_level_ces", (K, L))]
 
 
+def test_rounds_test_the_ranking_again_on_the_unit_point(monkeypatch):
+    # the first candidate's shares are ranked, but its sector-1 land
+    # coefficient is cut so that `a` is not: a later candidate must return
+    calls, unit_point = [], production._unit_point
+
+    def cut(*args):
+        a, sigma = unit_point(*args)
+        if not calls:
+            a = [a[0] * 1e-3, *a[1:]]
+        calls.append(args)
+        return a, sigma
+
+    monkeypatch.setattr(production, "_unit_point", cut)
+    s = m.sample_economy(5)
+    assert len(calls) > 2  # more than one candidate reached the unit point
+    assert m.is_ranked(s.economy)
+    assert m.validate_economy(s.economy, check_ranking=True).ok
+    monkeypatch.undo()
+    assert not np.array_equal(s.economy.theta_share,
+                              m.sample_economy(5).economy.theta_share)
+
+
 @pytest.mark.parametrize("family, nest", UNIT_POINT_DRAWS)
 def test_unit_point_equals_the_spec_methods(family, nest):
     # the sampler's float unit point is the calibrated spec's unit_cost and

@@ -353,3 +353,22 @@ def test_repeated_seeds_each_get_their_own_economy(cons):
     for seed, s in zip(seeds, m.sample_economies(seeds, cons), strict=True):
         assert_same_sample(s, m.sample_economy(seed, cons))
         assert s.seed == seed
+
+
+def test_entries_that_share_a_bit_generator_are_refused():
+    # default_rng returns a Generator itself and wraps a BitGenerator, so
+    # both rows would draw from one stream
+    g = np.random.default_rng(3)
+    state = g.bit_generator.state
+    with pytest.raises(ValueError, match=r"seeds\[0\] and seeds\[1\]"):
+        m.sample_economies([g, g])
+    assert g.bit_generator.state == state  # refused before any draw
+    with pytest.raises(ValueError, match=r"seeds\[0\] and seeds\[1\]"):
+        m.sample_economies([np.random.PCG64(3)] * 2)
+    bits = np.random.PCG64(3)
+    with pytest.raises(ValueError, match=r"seeds\[1\] and seeds\[3\]"):
+        m.sample_economies([4, bits, 5, np.random.Generator(bits)])
+    # two generators of one seed are two streams
+    one = m.sample_economy(3)
+    for s in m.sample_economies([np.random.default_rng(3), np.random.default_rng(3)]):
+        assert_same_sample(s, one)
