@@ -497,6 +497,21 @@ def test_far_start_failures_do_not_grow():
     assert failed <= FAR_START_FAILURES
 
 
+def test_cold_solves_meet_their_tolerances():
+    # the converged cold far-start solves by tolerance, not by bits: each
+    # relative residual of the levels point within 1e-11 (the worst was
+    # 9.99e-13 when this was written) and w at the calibrated point
+    for s in m.sample_economies(range(2024, 2324), m.SampleConstraints(ranked=True)):
+        eq = s.equilibrium
+        try:
+            cold = m.solve_equilibrium(s.specs, eq.p, eq.V, w0=[1.5, 0.7, 1.2],
+                                       x0=[0.8, 1.5])
+        except m.NonConvergence:
+            continue
+        assert max(cold.residuals().values()) <= 1e-11, s.seed
+        np.testing.assert_allclose(cold.w, eq.w, rtol=1e-8)
+
+
 #: sha256 of the cold far-start solves of test_far_start_failures_do_not_grow,
 #: with each typed failure's type and message, and of fd_rybczynski on the
 #: first 100 of those seeds (numpy 2.4)
