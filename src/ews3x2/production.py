@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ExhaustedRejection, NonConvergence, Specialization
+from .errors import ExhaustedRejection, NonConvergence, SingularSystem, Specialization
 from .geometry import in_quadrant
 from .model import (Economy, K, L, T, _aes_diagonal, _draw_shares, _epsilon,
                     _ews, _ews_ratios, _fill_aes_diagonal, ews_matrix,
                     ews_ratio_vector, intensity_ranked)
-from .statics import solve_partial_pivot
+from .statics import _lu_solve, solve_partial_pivot
 from .tolerances import NEWTON_MAX_ITER, NEWTON_TOL
 
 
@@ -313,7 +313,10 @@ def _newton(specs, p, V, w0, x0):
     residual is below NEWTON_TOL it is frozen, and the line search halves only
     the members whose residual has not fallen. At one point (V (3,), a start
     without batch axes) z is Python floats and only the Jacobian and f become
-    arrays. Returns w (..., 3), X (..., 2), a (..., 3, 2); any failure raises for all.
+    arrays. Only the first step checks the Jacobian's condition, which refuses
+    a degenerate start (`solve_partial_pivot`); later steps raise SingularSystem
+    only on an exactly singular Jacobian or a non-finite step. Returns w (..., 3),
+    X (..., 2), a (..., 3, 2); any failure raises for all.
     """
     z = np.empty((np.shape(w0)[:-1] or np.shape(x0)[:-1]) + (5,))
     z[..., :3], z[..., 3:] = w0, x0
@@ -331,11 +334,13 @@ def _newton(specs, p, V, w0, x0):
         return z, f, (w, X, a, c), _top(_each(lambda x, s: abs(x / s), f, scale))
 
     z, f, at, norm = evaluate(z)
-    for _ in range(NEWTON_MAX_ITER):
+    for solve in [solve_partial_pivot] + [_lu_solve] * (NEWTON_MAX_ITER - 1):
         live = negate(norm < NEWTON_TOL)
         if not some(live):
             break
-        x = solve_partial_pivot(_jacobian(specs, *at), f if point else f[..., None])
+        x = solve(_jacobian(specs, *at), f if point else f[..., None])
+        if not np.isfinite(x).all():
+            raise SingularSystem(f"non-finite Newton step at residual {np.max(norm):.3e}")
         x = x.tolist() if point else x[..., 0]
         clip = larger(_top(_each(lambda s, y: abs(s) / (0.5 * y), x, z)), 1.0)
         step = _each(lambda s: -s / clip, x)  # a NaN clip divides too

@@ -15,12 +15,19 @@ import numpy as np
 
 from .errors import SingularSystem
 from .model import Economy, _epsilon, _ews
-from .tolerances import COND_LIMIT, RESIDUAL_TOL, SCALE_FLOOR, ZERO_TOL
+from .tolerances import COND_LIMIT, SCALE_FLOOR, ZERO_TOL
 
 
 @cache
 def _identity(n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n), (n, n))  # read-only, one per size
+
+
+def _lu_solve(a, b) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"LU factorisation failed: {exc}") from None
 
 
 def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,10 +48,7 @@ def solve_partial_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rhs = np.empty(b.shape[:-1] + (k + n,))  # the solve broadcasts a against it
     rhs[..., :k] = b
     rhs[..., k:] = _identity(n)
-    try:
-        sol = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"LU factorisation failed: {exc}") from None
+    sol = _lu_solve(a, rhs)
     x, inv = sol[..., :k], sol[..., k:]
     cond = (np.abs(a).sum(axis=-2).max(axis=-1)
             * np.abs(inv).sum(axis=-2).max(axis=-1))
@@ -190,20 +194,13 @@ def _solve_hats(th, la, sigma, rhs) -> tuple:
     and Allen elasticities; rhs (..., 5, k) holds right-hand sides that
     broadcast against them. One factorisation per member covers all k
     columns. Returns x (N, 5, k) and the price elasticities eps
-    (N, 2, 3, 3). Raises SingularSystem when any member is ill-conditioned,
-    or when any member's column has a residual |M x - rhs| above
-    RESIDUAL_TOL * max(1, |rhs|, |M| |x|) in the max norm, a bound that a
-    backward-stable solve meets however large x is.
+    (N, 2, 3, 3). Raises SingularSystem when any member is ill-conditioned.
+    No residual is tested: LU with partial pivoting is backward stable (5x5
+    growth factor at most 2^4; Higham 2002, ch. 9), so a finite x has a
+    residual of a few ulps of max(1, |rhs|, |M| |x|) however large it is.
     """
     eps = _epsilon(th, sigma)
-    m = _hat_matrices(th, la, _ews(la, eps))
-    x = solve_partial_pivot(m, rhs)
-    resid = np.abs(m @ x - rhs).max(axis=-2)
-    scale = np.maximum(1.0, np.maximum(abs(rhs), abs(m) @ abs(x)).max(axis=-2))
-    if not np.all(resid <= RESIDUAL_TOL * scale):
-        raise SingularSystem(
-            f"hat-system residual {np.max(resid):.3e} too large")
-    return x, eps
+    return solve_partial_pivot(_hat_matrices(th, la, _ews(la, eps)), rhs), eps
 
 
 def _response(e: Economy, s: Shock, x: np.ndarray, eps: np.ndarray) -> Response:

@@ -516,7 +516,7 @@ def test_cold_solves_meet_their_tolerances():
 #: with each typed failure's type and message, and of fd_rybczynski on the
 #: first 100 of those seeds (numpy 2.4)
 COLD_SOLVE_DIGEST = (
-    "644069c886a63a66fb800ceec741eb737a3a904fd62415e309e1b682a9123ee4")
+    "c3082488663d261a818b03dd9f75864ac83bec9bd63324c8f9503d433f21858f")
 
 
 def test_cold_solve_digest():
@@ -572,6 +572,37 @@ def test_nan_output_start_raises_singular_system(sampled, x0):
     eq = sampled.equilibrium
     with np.errstate(all="ignore"), pytest.raises(m.SingularSystem):
         m.solve_equilibrium(sampled.specs, eq.p, eq.V, w0=eq.w, x0=x0)
+
+
+def zero_row(jac):
+    jac[2] = 0.0
+
+
+def inf_entry(jac):
+    jac[4, 4] = np.inf
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (zero_row, "LU factorisation failed"), (inf_entry, "non-finite Newton step")],
+    ids=["zero_row", "inf_entry"])
+def test_later_step_refuses_a_bad_jacobian(sampled, monkeypatch, spoil, match):
+    # only the first step checks the condition: a later Jacobian that is
+    # exactly singular, or gives a non-finite step, still raises SingularSystem,
+    # not NonConvergence, a raw LinAlgError or a NaN answer
+    calls = []
+
+    def jacobian(*args):
+        calls.append(jac := _jacobian(*args))
+        if len(calls) == 2:  # the first step's Jacobian stays the real one
+            spoil(jac)
+        return jac
+
+    monkeypatch.setattr(production, "_jacobian", jacobian)
+    eq = sampled.equilibrium
+    with pytest.raises(m.SingularSystem, match=match):
+        m.solve_equilibrium(sampled.specs, eq.p, eq.V, w0=[1.5, 0.7, 1.2],
+                            x0=[0.8, 1.5])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("p, V, x0", [
