@@ -299,8 +299,8 @@ class EwsMatrix:
         """Three algebraically equal forms of the KT-block determinant.
 
         Returns (g_KK*g_TT - g_TK*g_KT, the pairwise-product form, the
-        share-ratio form). All three are equal in exact arithmetic and
-        strictly positive for a valid economy.
+        share-ratio form), equal in exact arithmetic; positive when both sectors
+        are strictly concave (`_concave`), which `validate_economy` does not test.
         """
         g, tf = self.g.tolist(), self.theta_factor.tolist()
         lhs = g[K][K] * g[T][T] - g[T][K] * g[K][T]
@@ -451,14 +451,14 @@ def _draw_shares(rngs: dict, left, min_share: float, ranked: bool) -> dict:
 
 
 def _concave(s, th) -> bool:
-    """Whether M = diag(th) s diag(th) (M 1 = 0) has no eigenvalue above tol:
-    its other two, of sum tr M and product e2 (the sum of M's principal 2x2
-    minors), are both <= tol iff tr <= 2 tol and tol^2 - tol tr + e2 >= 0."""
+    """Whether M = diag(th) s diag(th) (M 1 = 0) is strictly concave: its other
+    two eigenvalues, of sum tr M and product e2 (the sum of M's principal 2x2
+    minors), are both <= -tol iff tr <= -2 tol and tol^2 + tol tr + e2 >= 0."""
     (a, b, c), tol = th, CONCAVITY_TOL
     tt, kk, ll = a * a * s[T][T], b * b * s[K][K], c * c * s[L][L]
     tk, tl, kl = a * b * s[T][K], a * c * s[T][L], b * c * s[K][L]
     e2 = tt * kk - tk * tk + tt * ll - tl * tl + kk * ll - kl * kl
-    return (tr := tt + kk + ll) <= 2.0 * tol and tol * (tol - tr) + e2 >= 0.0
+    return (tr := tt + kk + ll) <= -2.0 * tol and tol * (tol + tr) + e2 >= 0.0
 
 
 def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
@@ -468,17 +468,21 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
     Unlike the production-backed sampler this draws the Allen matrices freely,
     so it reaches substitution patterns no single-nest CES technology can
     produce. Deterministic for a fixed seed. `_draw_shares` tests the shares and
-    `_concave` each sector, on floats; the economy must then have negative Allen
-    diagonals, at most one complementary EWS pair and positive determinant forms.
-    So its EWS diagonal g_ii = sum_j lambda_ij theta_ij sigma^j_ii is negative:
-    with the floors below, both terms are, far above the subnormal range. Each
-    check of `validate_economy` holds by construction: non-finite, no divisor is
-    below 0.02 * 0.01; the sums, each is of terms scaled by one over their sum,
-    or of such sums, so a few ulp; share-link, lambda_share is `_allocations`;
-    share-range, the floors keep shares in [0.02, 0.96] and allocations 0.0002
-    from 0 and 1; aes-*, sigma is symmetric and `_aes_diagonal` zeroes its rows;
-    concavity bounds a diagonal only by CONCAVITY_TOL, hence its sign test, after
-    both sectors' draws as the stream requires; ranking, `_draw_shares` did it.
+    `_concave` each sector, on floats, and the rest holds by construction. Each
+    check of `validate_economy`: non-finite, no divisor is below 0.02 * 0.01;
+    the sums, each is of terms scaled by one over their sum, or of such sums, so
+    a few ulp; share-link, lambda_share is `_allocations`; share-range, the
+    floors keep shares in [0.02, 0.96] and allocations 0.0002 from 0 and 1;
+    aes-*, sigma is symmetric, `_aes_diagonal` zeroes its rows and its diagonal
+    is negative (below); ranking, `_draw_shares` did it. Every EWS property
+    follows from strict concavity (Jones and Easton 1983): H = diag(theta_factor)
+    g = sum_j theta_good[j] M_j, each M_j the matrix `_concave` tests, so H is
+    symmetric, H 1 = 0 and H <= -tol on 1-perp. No e_i is in span(1), so each
+    M_ii (hence sigma^j_ii) and H_ii is at most -2/3 tol; two negative
+    off-diagonals share a row of zero sum and negative diagonal, so at most one
+    pair is complementary; the KT block of H is at most -tol/3, so each
+    `determinant_identity` form, det H_KT / (theta_K theta_T), is positive.
+    Rounding moves H by a few ulp of |M| <= 3, far inside these margins.
     """
     rng, left = np.random.default_rng(seed), [max_draws]
     while (theta_share := _draw_shares({0: rng}, left, min_share,
@@ -496,11 +500,6 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
                 break
             sigma.append(s)
         else:
-            e = Economy.from_shares(theta_share, theta_good, sigma)
-            g = ews_matrix(e)
-            if (max(sg[i][i] for sg in sigma for i in (T, K, L)) < 0
-                    and (g.g_LK < 0) + (g.g_LT < 0) + (g.g_KT < 0) <= 1
-                    and min(g.determinant_identity()) > 0):
-                return e
+            return Economy.from_shares(theta_share, theta_good, sigma)
     raise ExhaustedRejection(
         f"no valid share-level economy within {max_draws} draws")

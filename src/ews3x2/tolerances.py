@@ -13,7 +13,7 @@ CHORD_TOL = 1e-8
 STRUCT_TOL = 1e-9
 #: absolute: algebraic identities evaluated in double precision
 IDENT_TOL = 1e-12
-#: absolute: concavity bound on share-weighted Allen eigenvalues, via trace and minors
+#: absolute: strictly concave: share-weighted Allen eigenvalues off span(1) <= -tol
 CONCAVITY_TOL = 1e-10
 #: absolute: a dense solve whose 1-norm condition number exceeds this is singular
 COND_LIMIT = 1e12

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ews3x2 as m
-from ews3x2 import model
 from ews3x2.model import (K, L, T, _aes_diagonal, _concave, _dirichlet,
                           _ews_ratios, _fill_aes_diagonal)
 from ews3x2.tolerances import CONCAVITY_TOL, IDENT_TOL, STRUCT_TOL, ZERO_TOL
@@ -312,7 +311,7 @@ def test_share_sampler_digest(ranked, share_samples):
 
 
 def _lapack_concave(a):
-    return not np.linalg.eigvalsh(a)[-1] > CONCAVITY_TOL
+    return np.linalg.eigvalsh(a)[-2] <= -CONCAVITY_TOL
 
 
 def test_concavity_test_is_the_lapack_decision(monkeypatch):
@@ -334,13 +333,13 @@ def test_concavity_test_is_the_lapack_decision(monkeypatch):
     basis = np.linalg.qr(np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0],
                                    [1.0, 0.0, -1.0]]))[0]
     tol = CONCAVITY_TOL
-    for x, y in [(0.0, -1.0), (tol * (1 - 1e-3), -1.0), (tol * (1 + 1e-3), -1.0),
-                 (0.0, 0.0), (tol * (1 - 1e-3), -0.01), (tol * (1 + 1e-3), -0.01),
-                 (3 * tol, 3 * tol), (1.0, -2.0), (2.0, 3.0)]:
+    for x, y in [(0.0, -1.0), (-tol * (1 - 1e-3), -1.0), (-tol * (1 + 1e-3), -1.0),
+                 (0.0, 0.0), (-tol * (1 - 1e-3), -0.01), (-tol * (1 + 1e-3), -0.01),
+                 (-3 * tol, -3 * tol), (1.0, -2.0), (2.0, 3.0)]:
         a = basis @ np.diag([0.0, x, y]) @ basis.T
         assert abs(a.sum(axis=1)).max() < 1e-15
         assert _concave(a.tolist(), [1.0, 1.0, 1.0]) == _lapack_concave(a) == (
-            max(x, y) <= tol), (x, y)
+            max(x, y) <= -tol), (x, y)
 
 
 @pytest.mark.parametrize("ranked", [True, False])
@@ -358,18 +357,41 @@ def test_sampled_economies_meet_every_check_the_sampler_skips(ranked,
         assert max(forms) - min(forms) < 1e-10 * max(1.0, abs(forms[0])), seed
 
 
-@pytest.mark.parametrize("ranked", [True, False])
-def test_share_sampler_accept_tests_hold_without_concavity(ranked, monkeypatch):
-    # with `_concave` passing every sector, only the accept tests stand between
-    # a candidate and the caller: each of them must still hold on what returns
-    monkeypatch.setattr(model, "_concave", lambda s, th: True)
-    for seed in range(300):
-        e = m.sample_economy_shares(seed, ranked=ranked)
-        assert (np.diagonal(e.sigma, axis1=1, axis2=2) < 0).all(), seed
+def _edge_sector(rng, th, x):
+    """Allen matrix (3x3 floats), built as `sample_economy_shares` builds it,
+    of a sector with shares th whose M has eigenvalues 0 (on 1), x and a
+    log-uniform y in [-20, -CONCAVITY_TOL]."""
+    u, w = np.linalg.qr(np.column_stack([np.ones(3), rng.normal(size=(3, 2))]))[0].T[1:]
+    y = -np.exp(rng.uniform(np.log(CONCAVITY_TOL), np.log(20.0)))
+    a = (x * np.outer(u, u) + y * np.outer(w, w)) / np.outer(th, th)
+    s = [[0.0, a[T, K], a[T, L]], [a[T, K], 0.0, a[K, L]], [a[T, L], a[K, L], 0.0]]
+    s[T][T], s[K][K], s[L][L] = _aes_diagonal(s, th)
+    return s
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3, 1.0])
+def test_strict_concavity_carries_every_ews_property_in_float(delta):
+    # `sample_economy_shares` accepts on `_concave` alone: economies whose
+    # sectors have one eigenvalue of M at -tol (1 + delta) and the other in
+    # [-20, -tol] keep negative Allen diagonals, at most one complementary
+    # pair and positive determinant forms in float arithmetic, at the share
+    # and goods floors too; and `_concave` refuses an eigenvalue in (-tol, tol]
+    rng, tol, accepted = np.random.default_rng(18), CONCAVITY_TOL, 0
+    for _ in range(1000):
+        theta_share = 0.02 + 0.94 * rng.dirichlet(np.ones(3), size=2).T
+        theta_good = [g := 0.01 + 0.98 * rng.uniform(), 1.0 - g]
+        sigma = [_edge_sector(rng, th, -tol * (1 + delta))
+                 for th in theta_share.T.tolist()]
+        accepted += all(map(_concave, sigma, theta_share.T.tolist()))
+        e = m.Economy.from_shares(theta_share, theta_good, sigma)
         g = m.ews_matrix(e)
-        assert (np.diag(g.g) < 0).all(), seed
-        assert sum(v < 0 for v in (g.g_LK, g.g_LT, g.g_KT)) <= 1, seed
-        assert min(g.determinant_identity()) > 0, seed
+        assert (np.diagonal(e.sigma, axis1=1, axis2=2) < 0).all()
+        assert (g.g_LK < 0) + (g.g_LT < 0) + (g.g_KT < 0) <= 1
+        assert min(g.determinant_identity()) > 0
+        th = theta_share[:, 0].tolist()
+        for x in (-tol * (1 - 1e-3), -tol / 2, 0.0, tol):
+            assert not _concave(_edge_sector(rng, th, x), th), x
+    assert accepted == 1000 or delta < 1.0  # nearer, rounding of M decides
 
 
 def test_mixed_pool_builds_valid_economies():

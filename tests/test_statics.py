@@ -341,10 +341,10 @@ def test_labels_restricted_under_main_ranking(seed):
     assert d["ranking"] == "X>Z>Y" and d["a0_label"] in ("A", "B", "C", "D")
 
 
-def test_residual_gate_accepts_a_large_solution_of_a_well_posed_system():
+def test_ill_conditioned_hat_solve_is_backward_stable():
     # condition 5.8e9 (below COND_LIMIT) and |x| up to 6e8: the residual of
-    # the backward-stable solve, 7.4e-9 on one x86-64 host, is far above
-    # 1e-10 * max(1, |rhs|) but far below 1e-10 * |M| |x|
+    # the LU solve, 7.4e-9 on one x86-64 host, is large next to |rhs| = 1 but
+    # below 1e-15 of |M| |x|, the size backward stability allows
     e = m.sample_economy_shares(127115)
     assert m.validate_economy(e, check_ranking=True).ok
     r = m.solve_linear(e, Shock.price(1.0))
