@@ -78,8 +78,8 @@ class Ces(_CostFamily):
 
     def __post_init__(self):
         object.__setattr__(self, "delta", np.array(self.delta, dtype=float))
-        if self.s <= 0 or self.s == 1.0:
-            raise ValueError("CES elasticity must be positive and != 1")
+        if not 0 < self.s < math.inf or self.s == 1.0:  # NaN fails both
+            raise ValueError("CES elasticity must be finite, positive and != 1")
 
     def cost_columns(self, wt):
         d, rho = self.delta.tolist(), 1.0 - self.s
@@ -111,12 +111,12 @@ class TwoLevelCes(_CostFamily):
     def __post_init__(self):
         object.__setattr__(self, "mu", np.array(self.mu, dtype=float))
         object.__setattr__(self, "nu", np.array(self.nu, dtype=float))
-        object.__setattr__(self, "nest", tuple(int(i) for i in self.nest))
-        if sorted(self.nest) not in ([T, K], [T, L], [K, L]):
+        if sorted(self.nest) not in ([T, K], [T, L], [K, L]):  # int() would floor 1.5
             raise ValueError("nest must name two distinct factors")
+        object.__setattr__(self, "nest", tuple(int(i) for i in self.nest))
         for s in (self.s_in, self.s_out):
-            if s <= 0 or s == 1.0:
-                raise ValueError("nest elasticities must be positive and != 1")
+            if not 0 < s < math.inf or s == 1.0:
+                raise ValueError("nest elasticities must be finite, positive and != 1")
         object.__setattr__(self, "outside", ({T, K, L} - set(self.nest)).pop())
 
     def cost_columns(self, wt):

@@ -42,7 +42,9 @@ def obs_path(e0, tmp_path):
 
 def test_validate_ok(e0_path, capsys):
     assert main(["validate", e0_path, "--ranking"]) == 0
-    assert "valid" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("valid\n")
+    assert json.loads(out[out.index("{"):]) == {"ok": True, "violations": []}
 
 
 def test_validate_bad_economy(e0, tmp_path, capsys):
@@ -458,18 +460,22 @@ def test_estimate_keeps_its_verdicts_past_the_float_range(obs_path, tmp_path,
         doc = json.load(f)
     for name in ("p_star", "w_star", "a0_prime", "a_star"):
         doc[name] = (np.asarray(doc[name]) * scale).tolist()
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["estimate", str(path)]) == 0
-    out = capsys.readouterr()
-    assert out.err == ""
-    got = json.loads(out.out)
-    assert got["diagnostics"]["H0"] is None
-    for key in ("quadrant_verdict", "subregion_verdict"):
-        assert got[key] == want[key]
-    assert got["diagnostics"]["failures"] == want["diagnostics"]["failures"]
+    # a CSV of the a0_prime columns takes the path without a_star
+    docs = {"big.json": json.dumps(doc),
+            "big.csv": observation_csv(m.Observation.from_dict(doc), "prime")}
+    for name, text in docs.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        got = json.loads(out.out)
+        assert got["diagnostics"]["H0"] is None
+        for key in ("quadrant_verdict", "subregion_verdict"):
+            assert got[key] == want[key]
+        assert got["diagnostics"]["failures"] == want["diagnostics"]["failures"]
 
 
 def test_estimate_csv_and_svg(e0, tmp_path, capsys):
@@ -923,7 +929,11 @@ def test_plot_writes_svg_and_csv(e0_path, tmp_path):
     assert "<svg" in text
     for label in ("Q", "R_L1", "R_L2", "E"):
         assert label in text
-    assert coords.read_text().splitlines()[0]  # non-empty header
+    assert '<polyline fill="none" stroke="#d62728"' in text  # the segment AB
+    lines = coords.read_text().splitlines()
+    assert lines[0]  # non-empty header
+    series = {line.split(",")[0] for line in lines[1:]}
+    assert {"segment", "vector-line", "point-A", "point-B"} <= series
 
 
 def _plot_series(argv, tmp_path) -> set:

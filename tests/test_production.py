@@ -188,15 +188,20 @@ def test_nested_pair_can_be_complements():
 
 
 def test_two_level_ces_rejects_bad_nest():
-    with pytest.raises(ValueError):
-        TwoLevelCes(mu=[0.5, 0.5], nu=[0.5, 0.5], s_in=0.5, s_out=2.0,
-                    nest=(T, T))
-    with pytest.raises(ValueError):
-        Ces([0.4, 0.3, 0.3], s=1.0)
+    for nest in ((T, T), (T, 1.5)):  # int() would have made (T, 1.5) (T, K)
+        with pytest.raises(ValueError, match="two distinct factors"):
+            TwoLevelCes(mu=[0.5, 0.5], nu=[0.5, 0.5], s_in=0.5, s_out=2.0,
+                        nest=nest)
+    for s in (1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and != 1"):
+            Ces([0.4, 0.3, 0.3], s=s)
+    with pytest.raises(ValueError, match="positive and != 1"):
+        m.calibrated_spec("ces", [0.4, 0.3, 0.3], s=np.nan)
 
 
 @pytest.mark.parametrize("s_in,s_out", [(1.0, 2.0), (0.5, 1.0), (0.0, 2.0),
-                                         (0.5, -1.0)])
+                                         (0.5, -1.0), (np.nan, 2.0), (0.5, np.nan),
+                                         (0.5, np.inf)])
 def test_two_level_ces_rejects_bad_elasticities(s_in, s_out):
     with pytest.raises(ValueError, match="positive and != 1"):
         TwoLevelCes(mu=[0.5, 0.5], nu=[0.5, 0.5], s_in=s_in, s_out=s_out)
