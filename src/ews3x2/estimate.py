@@ -20,9 +20,9 @@ from .errors import (DegenerateObservation, DegenerateShares,
 from .geometry import (RYBCZYNSKI_PATTERNS, SubregionLabel, endpoint_a,
                        endpoint_b, quadrant, r_thresholds)
 from .model import (FACTORS, K, L, RatioPoint, T, _allocations,
-                    _finite_or_null, intensity_ranked)
+                    _finite_or_null)
 from .statics import _scale, ranking_label, sign_label
-from .tolerances import DATA_TOL, DEAD_BAND
+from .tolerances import DATA_TOL, DEAD_BAND, SCALE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class Observation:
 
     @property
     def P(self) -> float:
-        return float(self.p_star[0] - self.p_star[1])
+        return self.p_star.item(0) - self.p_star.item(1)
 
     @property
     def xyz(self) -> np.ndarray:
@@ -82,8 +82,9 @@ class Observation:
     @cached_property
     def labels(self) -> tuple:
         """(ranking of xyz, sign letter of a0_prime) in the dead band."""
-        band = DEAD_BAND * self.rate_scale
-        return ranking_label(self.xyz.tolist(), tol=band), sign_label(self.a0_prime, band)
+        band, p1 = DEAD_BAND * self.rate_scale, self.p_star.item(0)
+        return (ranking_label([w - p1 for w in self.w_star.tolist()], tol=band),
+                sign_label(self.a0_prime, band))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Observation":
@@ -111,6 +112,11 @@ def observation_from_response(e, resp) -> Observation:
                        a_star=resp.a_star)
 
 
+def _float_scale(v) -> float:
+    """statics._scale on floats; SCALE_FLOOR first, so a NaN is skipped, never kept."""
+    return max(SCALE_FLOOR, *map(abs, v))
+
+
 def _signed(value: float, scale: float) -> int:
     """Sign with the relative dead band DEAD_BAND; 0 means 'ambiguous'."""
     if abs(value) < DEAD_BAND * scale:
@@ -132,15 +138,16 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     negated) only when `time_reversal` is set. Returns (obs, PreprocessInfo);
     a rate that is not finite raises DegenerateObservation.
     """
-    th = obs.theta_share
-    for name, shares in (("distributive", th), ("goods income", obs.theta_good)):
-        if not shares.min() > 0.0:  # intensity ratios and allocations need them positive
+    th = obs.theta_share.tolist()
+    for name, shares in (("distributive", th[T] + th[K] + th[L]),
+                         ("goods income", obs.theta_good.tolist())):
+        if not all(v > 0.0 for v in shares):  # ratios need them positive; NaN fails
             raise DegenerateShares(f"a {name} share is not positive")
-    order = np.argsort(-(th[:, 0] / th[:, 1])).tolist()
+    r = [t1 / t2 for t1, t2 in th]
+    order = sorted(range(3), key=r.__getitem__, reverse=True)
     perm = (order[0], order[2], order[1])  # T = max ratio, K = min, L = middle
-    idx = np.array(perm)
-    th = th[idx]
-    if not intensity_ranked(th):
+    # model.intensity_ranked on the relabelled rows th[perm[i]]
+    if not (r[perm[T]] > r[perm[L]] > r[perm[K]] and th[perm[L]][0] > th[perm[L]][1]):
         raise UnsupportedRanking(
             "no relabeling gives strict intensity ratios with the middle "
             "factor used intensively in sector 1; this configuration is out "
@@ -155,27 +162,29 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
     # no constructor copies: these arrays are new (theta_good, never written, is
     # shared); relabelling and sign flips keep rate magnitudes, so the scale stays
     out, a = Observation.__new__(Observation), obs.a_star
-    vars(out).update(theta_share=th, theta_good=obs.theta_good, rate_scale=scale,
-                     p_star=sign * obs.p_star, w_star=sign * obs.w_star[idx],
-                     a_star=None if a is None else sign * a[idx],
-                     a0_prime=None if a is not None else sign * obs.a0_prime[idx])
+    vars(out).update(theta_share=obs.theta_share.take(perm, 0), theta_good=obs.theta_good,
+                     rate_scale=scale,
+                     p_star=sign * obs.p_star, w_star=sign * obs.w_star.take(perm),
+                     a_star=None if a is None else sign * a.take(perm, 0),
+                     a0_prime=None if a is not None else sign * obs.a0_prime.take(perm))
     out._aggregate()
     return out, PreprocessInfo(perm, flipped)
 
 
 def point_a(obs: Observation) -> RatioPoint:
     """Segment endpoint A from the factor-price changes alone."""
-    w = obs.w_star
-    scale = _scale(w)
+    w = obs.w_star.tolist()
+    scale = _float_scale(w)
     if _signed(w[K] - w[L], scale) == 0 or _signed(w[K] - w[T], scale) == 0:
         raise DegenerateObservation("W_KL or W_KT inside the dead band; point A undefined")
+    # theta_factor stays an array: an entry underflowed to 0 divides to inf, not an error
     return endpoint_a(w, obs.theta_factor)
 
 
 def point_b(obs: Observation) -> RatioPoint:
     """Segment endpoint B from the aggregate input-coefficient changes."""
-    a0 = obs.a0_prime
-    scale = _scale(a0)
+    a0 = obs.a0_prime.tolist()
+    scale = _float_scale(a0)
     if _signed(a0[T], scale) == 0 or _signed(a0[L], scale) == 0:
         raise DegenerateObservation("a_T0' or a_L0' inside the dead band; point B undefined")
     return endpoint_b(a0, obs.theta_factor)
@@ -252,9 +261,7 @@ def corollary1_subregion(obs: Observation, t1v: Theorem1Verdict) -> CorollaryRes
     """
     if not t1v.quadrant_iv or t1v.a0_label != "C":
         return CorollaryResult("not-quadrant-IV", None, None, {}, ())
-    w = obs.w_star
-    p = obs.p_star
-    scale = obs.rate_scale
+    w, p, scale = obs.w_star.tolist(), obs.p_star.tolist(), obs.rate_scale
     t_1, t_2 = r_thresholds(obs.theta_share).tolist()  # S'(R_L1), S'(R_L2)
     s_a = t1v.point_a.s
     s_b = t1v.point_b.s
@@ -328,11 +335,15 @@ def consistency_checks(obs: Observation) -> dict:
         failures.append("H0 > 0")
 
     if obs.a_star is not None:
-        eq5 = np.einsum("ij,ij->j", obs.theta_share, obs.a_star).tolist()
+        # sums over i from 0.0 in index order: the bits of einsum on C-ordered arrays
+        th, a, w = obs.theta_share.tolist(), obs.a_star.tolist(), w_m.tolist()
+        eq5 = [0.0 + th[T][j] * a[T][j] + th[K][j] * a[K][j] + th[L][j] * a[L][j]
+               for j in (0, 1)]
         out["zero_profit_residuals"] = res = [abs(v) for v in eq5]
         if any(r > DATA_TOL * scale for r in res):
             failures.append("per-sector share-weighted a* rows do not sum to zero")
-        H = np.einsum("i,ij,ij->j", w_m, obs.a_star, obs.theta_share).tolist()
+        H = [0.0 + w[T] * a[T][j] * th[T][j] + w[K] * a[K][j] * th[K][j]
+             + w[L] * a[L][j] * th[L][j] for j in (0, 1)]
         out["H"] = [_finite_or_null(h / m) for h in H]
         failures += [f"H_{j} > 0" for j, h in enumerate(H, 1)
                      if _signed(h * m, band) > 0]
@@ -341,7 +352,7 @@ def consistency_checks(obs: Observation) -> dict:
     if ranking == "X>Z>Y" and agg in ("E", "F"):
         failures.append(f"aggregate sign label {agg} excluded under ranking X>Z>Y")
     if obs.a_star is not None:
-        sec = [sign_label(col, DEAD_BAND * scale) for col in obs.a_star.T]
+        sec = [sign_label(col, DEAD_BAND * scale) for col in zip(*a)]
         out["sector_labels"] = sec
         if ranking == "X>Z>Y":
             for j, lab in enumerate(sec):

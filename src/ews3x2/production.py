@@ -88,6 +88,12 @@ class Ces(_CostFamily):
         return c, [c * d[i] * wt[i] ** (rho - 1.0) / base for i in range(3)]
 
 
+def _checked_nest(nest) -> tuple:
+    if sorted(nest) not in ([T, K], [T, L], [K, L]):  # int() would floor 1.5
+        raise ValueError("nest must name two distinct factors")
+    return tuple(int(i) for i in nest)
+
+
 @dataclass(frozen=True)
 class TwoLevelCes(_CostFamily):
     """Nested CES: composite M = CES_{s_in}(nest pair), then
@@ -111,9 +117,7 @@ class TwoLevelCes(_CostFamily):
     def __post_init__(self):
         object.__setattr__(self, "mu", np.array(self.mu, dtype=float))
         object.__setattr__(self, "nu", np.array(self.nu, dtype=float))
-        if sorted(self.nest) not in ([T, K], [T, L], [K, L]):  # int() would floor 1.5
-            raise ValueError("nest must name two distinct factors")
-        object.__setattr__(self, "nest", tuple(int(i) for i in self.nest))
+        object.__setattr__(self, "nest", _checked_nest(self.nest))
         for s in (self.s_in, self.s_out):
             if not 0 < s < math.inf or s == 1.0:
                 raise ValueError("nest elasticities must be finite, positive and != 1")
@@ -164,7 +168,7 @@ def calibrated_spec(family: str, theta_col, **kw):
     if family == "ces":
         return Ces(th, kw["s"])
     if family == "two_level_ces":
-        i1, i2 = nest = tuple(kw.get("nest", (T, K)))
+        i1, i2 = nest = _checked_nest(kw.get("nest", (T, K)))
         out = ({T, K, L} - set(nest)).pop()
         nu_m = th[i1] + th[i2]
         return TwoLevelCes(mu=[th[i1] / nu_m, th[i2] / nu_m],

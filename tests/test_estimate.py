@@ -513,19 +513,35 @@ def test_preprocess_equals_the_constructor_on_relabelled_arrays():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["p_star", "w_star", "a_star", "a0_prime"])
 def test_non_finite_rate_is_a_degenerate_observation(obs0, field, value):
-    # a0_prime is data only when a_star is absent; with a_star it is derived
+    # a0_prime is data only when a_star is absent; with a_star it is derived.
+    # Every entry in turn: Python's max and min keep or skip a NaN by where it sits
     d = {"theta_share": obs0.theta_share, "theta_good": obs0.theta_good,
          "p_star": obs0.p_star, "w_star": obs0.w_star,
          "a_star": None if field == "a0_prime" else obs0.a_star,
          "a0_prime": obs0.a0_prime}
-    rates = d[field].copy()
-    rates.flat[0] = value
-    obs = Observation(**{**d, field: rates})
-    assert not np.isfinite(obs.rate_scale)
+    for k in range(d[field].size):
+        rates = d[field].copy()
+        rates.flat[k] = value
+        obs = Observation(**{**d, field: rates})
+        assert not np.isfinite(obs.rate_scale)
+        for time_reversal in (False, True):
+            with pytest.raises(m.DegenerateObservation, match="not finite"):
+                preprocess(obs, time_reversal)
+            with pytest.raises(m.DegenerateObservation, match="not finite"):
+                m.run_pipeline(obs, time_reversal)
+
+
+@pytest.mark.parametrize("field,k", [("theta_share", k) for k in range(6)]
+                         + [("theta_good", k) for k in range(2)])
+def test_nan_share_is_degenerate_shares(obs0, field, k):
+    # the share test must fail on a NaN wherever it sits, as numpy's min did
+    shares = getattr(obs0, field).copy()
+    shares.flat[k] = np.nan
+    obs = dataclasses.replace(obs0, **{field: shares})
     for time_reversal in (False, True):
-        with pytest.raises(m.DegenerateObservation, match="not finite"):
+        with pytest.raises(m.DegenerateShares, match="share is not positive"):
             preprocess(obs, time_reversal)
-        with pytest.raises(m.DegenerateObservation, match="not finite"):
+        with pytest.raises(m.DegenerateShares, match="share is not positive"):
             m.run_pipeline(obs, time_reversal)
 
 

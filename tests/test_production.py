@@ -192,6 +192,11 @@ def test_two_level_ces_rejects_bad_nest():
         with pytest.raises(ValueError, match="two distinct factors"):
             TwoLevelCes(mu=[0.5, 0.5], nu=[0.5, 0.5], s_in=0.5, s_out=2.0,
                         nest=nest)
+    # calibrated_spec indexes the shares with the nest, so it checks it first
+    for nest in ((T, 1.5), (3, 1), (T, K, L)):
+        with pytest.raises(ValueError, match="two distinct factors"):
+            m.calibrated_spec("two_level_ces", [0.4, 0.3, 0.3], s_in=0.5,
+                              s_out=2.0, nest=nest)
     for s in (1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and != 1"):
             Ces([0.4, 0.3, 0.3], s=s)
