@@ -167,6 +167,8 @@ def preprocess(obs: Observation, time_reversal: bool = False) -> tuple:
                      p_star=sign * obs.p_star, w_star=sign * obs.w_star.take(perm),
                      a_star=None if a is None else sign * a.take(perm, 0),
                      a0_prime=None if a is not None else sign * obs.a0_prime.take(perm))
+    if not all(v > 0.0 for v in out.theta_factor.tolist()):  # an underflow to 0
+        raise DegenerateShares("a factor income share is not positive")
     out._aggregate()
     return out, PreprocessInfo(perm, flipped)
 

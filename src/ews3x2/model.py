@@ -411,16 +411,16 @@ def _dirichlet(e: np.ndarray) -> np.ndarray:
     return e * (1.0 / acc)[..., None]
 
 
-#: share candidates drawn per block
-_BLOCK = 32
+#: candidates per block, of production rounds (rewound) and of share-level draws (whole)
+_BLOCK, _SHARE_BLOCK = 32, 64
 
 
 def _draw_shares(rngs: dict, left, min_share: float, ranked: bool) -> dict:
-    """The next shares (3, 2) of each generator rngs[k], by k, out of its
-    next left[k] candidates, that pass the floor and, if `ranked`, the
-    ranking; `left` loses the candidates used. The blocks of up to _BLOCK
-    candidates of all generators still searching are tested as one array; on
-    a hit at i the generator is rewound and redraws i + 1, as one at a time."""
+    """The production rounds' next shares (3, 2) of each generator rngs[k], by
+    k, out of its next left[k] candidates, that pass the floor and, if
+    `ranked`, the ranking; `left` loses the candidates used. The blocks of all
+    generators still searching are tested as one array; on a hit at i the
+    generator is rewound and redraws i + 1, as one at a time."""
     out, e = {}, np.empty((len(rngs) * _BLOCK, 2, 3))
     live = [k for k in rngs if left[k] > 0]  # a budget below one draws nothing
     while live:
@@ -465,41 +465,47 @@ def sample_economy_shares(seed, ranked: bool = True, min_share: float = 0.02,
                           max_draws: int = 100_000) -> Economy:
     """Rejection-sample a valid economy directly at the share/AES level.
 
-    Unlike the production-backed sampler this draws the Allen matrices freely,
-    so it reaches substitution patterns no single-nest CES technology can
-    produce. Deterministic for a fixed seed. `_draw_shares` tests the shares and
-    `_concave` each sector, on floats, and the rest holds by construction. Each
-    check of `validate_economy`: non-finite, no divisor is below 0.02 * 0.01;
-    the sums, each is of terms scaled by one over their sum, or of such sums, so
-    a few ulp; share-link, lambda_share is `_allocations`; share-range, the
-    floors keep shares in [0.02, 0.96] and allocations 0.0002 from 0 and 1;
-    aes-*, sigma is symmetric, `_aes_diagonal` zeroes its rows and its diagonal
-    is negative (below); ranking, `_draw_shares` did it. Every EWS property
-    follows from strict concavity (Jones and Easton 1983): H = diag(theta_factor)
-    g = sum_j theta_good[j] M_j, each M_j the matrix `_concave` tests, so H is
-    symmetric, H 1 = 0 and H <= -tol on 1-perp. No e_i is in span(1), so each
-    M_ii (hence sigma^j_ii) and H_ii is at most -2/3 tol; two negative
-    off-diagonals share a row of zero sum and negative diagonal, so at most one
-    pair is complementary; the KT block of H is at most -tol/3, so each
-    `determinant_identity` form, det H_KT / (theta_K theta_T), is positive.
+    Unlike the production-backed sampler this draws the Allen matrices freely, so
+    it reaches substitution patterns no single-nest CES technology can produce.
+    Deterministic for a fixed seed. Each block draws rows of eight exponentials
+    (shares by sector, then goods), then rows of six uniforms (TK, TL, KL by
+    sector); one array pass tests the floors and ranking, `_concave` each sector
+    of the rows that pass, and the first to pass is kept (a Generator passed in
+    ends after its block); `max_draws` caps the rows tested. The rest holds by
+    construction. Each check of `validate_economy`: non-finite, no divisor is
+    below 0.02 * 0.01; the sums, each is of terms scaled by one over their sum,
+    or of such sums, so a few ulp; share-link, lambda_share is `_allocations`;
+    share-range, the floors keep shares in [0.02, 0.96] and allocations 0.0002
+    from 0 and 1; aes-*, sigma is symmetric, `_aes_diagonal` zeroes its rows and
+    its diagonal is negative (below); ranking, the block pass did it. Every EWS
+    property follows from strict concavity (Jones and Easton 1983): H =
+    diag(theta_factor) g = sum_j theta_good[j] M_j, each M_j the matrix
+    `_concave` tests, so H is symmetric, H 1 = 0 and H <= -tol on 1-perp. No e_i
+    is in span(1), so each M_ii (hence sigma^j_ii) and H_ii is at most -2/3 tol;
+    two negative off-diagonals share a row of zero sum and negative diagonal, so
+    at most one pair is complementary; the KT block of H is at most -tol/3, so
+    each `determinant_identity` form, det H_KT / (theta_K theta_T), is positive.
     Rounding moves H by a few ulp of |M| <= 3, far inside these margins.
     """
-    rng, left = np.random.default_rng(seed), [max_draws]
-    while (theta_share := _draw_shares({0: rng}, left, min_share,
-                                       ranked).get(0)) is not None:
-        g1, g2 = rng.standard_exponential(2).tolist()
-        theta_good = [g1 * (inv := 1.0 / (g1 + g2)), g2 * inv]  # `_dirichlet` on floats
-        if min(theta_good) < 0.01:
-            continue
-        sigma = []
-        for th in theta_share.T.tolist():
-            tk, tl, kl = rng.uniform(-3.0, 6.0, size=3).tolist()
-            s = [[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]]
-            s[T][T], s[K][K], s[L][L] = _aes_diagonal(s, th)
-            if not _concave(s, th):
-                break
-            sigma.append(s)
-        else:
-            return Economy.from_shares(theta_share, theta_good, sigma)
+    if not 0.0 <= min_share < 1.0:
+        raise ValueError(f"min_share must lie in [0, 1), not {min_share}")
+    rng = np.random.default_rng(seed)
+    for start in range(0, max_draws, _SHARE_BLOCK):  # none below one candidate
+        e = rng.standard_exponential((_SHARE_BLOCK, 8))
+        u = rng.uniform(-3.0, 6.0, size=(_SHARE_BLOCK, 6))
+        sh, tg = _dirichlet(e[:, :6].reshape(-1, 2, 3)), _dirichlet(e[:, 6:])
+        ok = (sh >= min_share).all(axis=(1, 2)) & (tg >= 0.01).all(axis=1)
+        if ranked:
+            ok &= intensity_ranked(sh.swapaxes(1, 2))
+        for i in ok[:max_draws - start].nonzero()[0].tolist():
+            x, sigma = u[i].tolist(), []
+            for th, (tk, tl, kl) in zip(sh[i].tolist(), (x[:3], x[3:])):
+                s = [[0.0, tk, tl], [tk, 0.0, kl], [tl, kl, 0.0]]
+                s[T][T], s[K][K], s[L][L] = _aes_diagonal(s, th)
+                if not _concave(s, th):
+                    break
+                sigma.append(s)
+            else:
+                return Economy.from_shares(sh[i].T, tg[i], sigma)
     raise ExhaustedRejection(
         f"no valid share-level economy within {max_draws} draws")

@@ -445,6 +445,8 @@ class SampleConstraints:
             raise ValueError(f"families must name one or more of {FAMILIES}, "
                              "two_level_ces among them for quadrant IV, "
                              f"not {self.families!r}")
+        if not 0.0 <= self.min_share < 1.0:
+            raise ValueError(f"min_share must lie in [0, 1), not {self.min_share}")
 
 
 @dataclass(frozen=True)

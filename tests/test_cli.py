@@ -147,7 +147,7 @@ def solve_reference_lines(e0):
 
 #: sha256 of the reference `solve` documents (numpy 2.4)
 SOLVE_DIGEST = (
-    "2a9f5d0fbcd26af52e10ae0067340772ca151330bb746c0c175de40afc7cd0cb")
+    "c3bb5145d91aac9afb6006253d94370849a8a14ced1a2cd91395ec0247e84569")
 
 
 def test_solve_reference_json_digest(e0):
@@ -537,6 +537,25 @@ def test_share_that_is_not_positive_is_a_typed_error_alone(e0, tmp_path, capsys,
     assert [str(w.message) for w in caught] == []
     assert out.out == ""
     assert out.err == "error: a distributive share is not positive\n"
+
+
+def test_factor_income_share_that_underflows_is_a_typed_error_alone(e0, tmp_path,
+                                                                   capsys):
+    # positive distributive shares whose factor income share theta_good @
+    # theta_share underflows to 0: once two divide-by-zero RuntimeWarnings on
+    # stderr and "result is not finite"
+    d = m.observation_from_response(e0, m.solve_linear(e0, Shock.price(1.0))).to_dict()
+    d["theta_share"] = [[0.7, 0.2], [5e-324, 5e-324], [0.45, 0.3]]
+    del d["a_star"]  # the aggregates a0_prime stay
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert out.out == ""
+    assert out.err == "error: a factor income share is not positive\n"
 
 
 @pytest.mark.parametrize("theta_good", [[1.0, 0.0], [1.2, -0.2]])

@@ -545,6 +545,23 @@ def test_nan_share_is_degenerate_shares(obs0, field, k):
             m.run_pipeline(obs, time_reversal)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_factor_income_share_that_underflows_is_degenerate_shares(obs0):
+    # every distributive share is positive, but the factor income share of K,
+    # theta_good @ theta_share, is 0 (half the smallest subnormal rounds to 0);
+    # it once reached the endpoint divisions
+    obs = Observation([[0.7, 0.2], [5e-324, 5e-324], [0.45, 0.3]], [0.5, 0.5],
+                      obs0.p_star, obs0.w_star, a0_prime=obs0.a0_prime)
+    assert obs.theta_factor.tolist()[K] == 0.0
+    for time_reversal in (False, True):
+        with pytest.raises(m.DegenerateShares,
+                           match="^a factor income share is not positive$"):
+            preprocess(obs, time_reversal)
+        with pytest.raises(m.DegenerateShares,
+                           match="^a factor income share is not positive$"):
+            m.run_pipeline(obs, time_reversal)
+
+
 def corollary_reference_lines():
     """One line per run, as in `estimate_reference_lines`, over crafted
     observations of one P1, one P2 and one P3 economy: 40 quadrant-IV

@@ -15,7 +15,8 @@ from ews3x2.model import (K, L, T, _aes_diagonal, _concave, _dirichlet,
 from ews3x2.tolerances import CONCAVITY_TOL, IDENT_TOL, STRUCT_TOL, ZERO_TOL
 
 from conftest import E0_THETA_GOOD, E0_THETA_SHARE, mixed_pool
-from test_samplers import PRODUCTION_MODES, reference_sample_economy_shares
+from test_samplers import (PRODUCTION_MODES, economy_digest,
+                           reference_sample_economy_shares)
 
 
 def ranked_economy(seed):
@@ -149,7 +150,7 @@ def validate_report_inputs():
 #: sha256 of the `validate_economy` report lines of `validate_report_inputs`,
 #: each with and without the ranking at three tolerances (numpy 2.4)
 VALIDATE_DIGEST = (
-    "ff92cba63ede3f7329b2dafcabeabfeb7256386a0ddda8fb299d7b98351d78ca")
+    "d6313e7b2a1866d389f35c84c08bf0da05419b73ff72dcab7206b35f43cc2161")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -291,23 +292,17 @@ def test_sampler_respects_ranking_flag():
     assert m.validate_economy(e, check_ranking=True).ok
 
 
-#: sha256 of `sample_economy_shares`'s five arrays and the generator's end
-#: state, seeds 0-1,999 in order, by `ranked`
+#: `economy_digest` of `sample_economy_shares` on default_rng(seed), seeds
+#: 0-1,999 in order, by `ranked`: blocks of whole candidates (numpy 2.4)
 SHARE_SAMPLER_DIGESTS = {
-    True: "199edbe54235b682a21d588faae5f8eaac37ca69b270f17087c5b8d3f8d04934",
-    False: "64eadc8d013901af8c9957bff7cc4d0d9578eda0216150d6926d0f8c09eb2ea5",
+    True: "8fbc1ab899ffcef56d4e4076b2f6c6edc336f3b614cf2eba87da76e96cc465e4",
+    False: "5c929d600ad0bdc9c4c86c721cb75601820ce072c5b4ea8e59c47a01a15c79ec",
 }
 
 
 @pytest.mark.parametrize("ranked", [True, False])
 def test_share_sampler_digest(ranked, share_samples):
-    h = hashlib.sha256()
-    for e, state in share_samples[ranked][:2000]:
-        for name in ("theta_share", "lambda_share", "theta_good",
-                     "theta_factor", "sigma"):
-            h.update(getattr(e, name).tobytes())
-        h.update(json.dumps(state, sort_keys=True).encode())
-    assert h.hexdigest() == SHARE_SAMPLER_DIGESTS[ranked]
+    assert economy_digest(share_samples[ranked][:2000]) == SHARE_SAMPLER_DIGESTS[ranked]
 
 
 def _lapack_concave(a):

@@ -13,6 +13,7 @@ from ews3x2.statics import (RANKINGS_UNDER_ASSUMPTIONS, Shock, ranking_label,
 from ews3x2.tolerances import ZERO_TOL
 
 from conftest import h0_eliminations, mixed_pool
+from test_samplers import reference_sample_economy_shares
 
 
 def hat_system(e):
@@ -344,8 +345,9 @@ def test_labels_restricted_under_main_ranking(seed):
 def test_ill_conditioned_hat_solve_is_backward_stable():
     # condition 5.8e9 (below COND_LIMIT) and |x| up to 6e8: the residual of
     # the LU solve, 7.4e-9 on one x86-64 host, is large next to |rhs| = 1 but
-    # below 1e-15 of |M| |x|, the size backward stability allows
-    e = m.sample_economy_shares(127115)
+    # below 1e-15 of |M| |x|, the size backward stability allows; the economy
+    # is seed 127115's of the one-at-a-time share-level stream
+    e, _ = reference_sample_economy_shares(127115)
     assert m.validate_economy(e, check_ranking=True).ok
     r = m.solve_linear(e, Shock.price(1.0))
     x = np.concatenate([r.w_star, r.x_star])
